@@ -32,8 +32,8 @@ from common import SCALE, fmt_row, write_json, write_report
 from repro.datasets import make_face_dataset
 from repro.datasets.synth import moving_face_sequence
 from repro.pipeline import HDFacePipeline, PyramidDetector, SlidingWindowDetector
-from repro.runtime import ResilientVideoDetector, default_ladder
-from repro.runtime.chaos import _served_recall
+from repro.runtime import (ResilientVideoDetector, default_ladder,
+                           served_recall)
 
 DIM = 512 if SCALE == "smoke" else 1024
 SCENE = 64
@@ -89,7 +89,7 @@ def _serve_once(pipe, frames, truth_by_frame, budget, *, planner):
     for i, frame in enumerate(frames):
         results[i] = runtime.step(frame, meta={"frame": i})
     stats = runtime.stats()
-    recall, n_scored, _ = _served_recall(results, truth_by_frame)
+    recall, n_scored, _ = served_recall(results, truth_by_frame)
     return {
         "ladder": "planner" if planner else "hand",
         "rungs": [r.name for r in runtime.scheduler.ladder.rungs],

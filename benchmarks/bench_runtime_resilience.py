@@ -2,7 +2,7 @@
 
 Three scripted failure scenarios drive
 :class:`repro.runtime.ResilientVideoDetector` end to end through
-:func:`repro.runtime.run_chaos`:
+:func:`repro.runtime.run_scenario`:
 
 * ``load_spike`` - a burst of injected per-frame contention above the
   budget; the degradation ladder must shed work (and ideally climb back
@@ -16,9 +16,10 @@ Three scripted failure scenarios drive
   corrupted stored class model, the Table-2 robustness story running
   inside the serving loop.
 
-Every scenario is gated (no crashes, stalls recovered, poison
-quarantined + uncached, recall within tolerance of a clean run pinned at
-the deepest rung used, processing p95 within budget) and the reports -
+Every scenario is gated on what it scripts (no crashes, stalls
+recovered, poison quarantined + uncached, recall within tolerance of a
+clean twin replayed at the rung each frame was served at, processing p95
+within budget) and the reports -
 plus the truncated-dimension accuracy-vs-words curve behind the ladder's
 ``truncated`` rung - land in ``benchmarks/results/runtime_resilience.
 {txt,json}``.
@@ -37,7 +38,7 @@ from common import SCALE, fmt_row, write_json, write_report
 from repro.datasets import make_face_dataset
 from repro.datasets.synth import moving_face_sequence
 from repro.pipeline import HDFacePipeline, PyramidDetector, SlidingWindowDetector
-from repro.runtime import ChaosScenario, ResilientVideoDetector, run_chaos
+from repro.runtime import ChaosScenario, ResilientVideoDetector, run_scenario
 
 DIM = 1024 if SCALE == "smoke" else 2048
 SCENE = 64
@@ -80,11 +81,10 @@ def budget(pipe, video):
     return 3.0 * sorted(samples)[len(samples) // 2]
 
 
-def _factory(pipe, budget_s, stall_timeout):
-    def make_runtime(ladder=None, budget=None):
+def _factory(pipe, budget, stall_timeout):
+    def make_runtime():
         return ResilientVideoDetector(
-            _detector(pipe), budget=budget if budget else budget_s,
-            ladder=ladder, stall_timeout=stall_timeout,
+            _detector(pipe), budget=budget, stall_timeout=stall_timeout,
             queue_size=4, policy="block", recover_after=4)
     return make_runtime
 
@@ -135,10 +135,10 @@ def reports(pipe, video, budget):
     paces = {"bit_faults": 0.6 * budget}
     for name, scenario in _scenarios(budget, stall_timeout).items():
         t0 = time.perf_counter()
-        report = run_chaos(make_runtime, frames, truth, scenario,
-                           pace=paces.get(name, budget / 3.0),
-                           max_recall_drop=MAX_RECALL_DROP,
-                           p95_tolerance=1.0)
+        report = run_scenario(make_runtime, frames, truth, scenario,
+                              pace=paces.get(name, budget / 3.0),
+                              max_recall_drop=MAX_RECALL_DROP,
+                              p95_tolerance=1.0)
         report["wall_seconds"] = time.perf_counter() - t0
         out[name] = report
     return out
@@ -180,30 +180,37 @@ def truncation_curve(pipe):
             "points": curve}
 
 
+def _stream(report):
+    return report["streams"]["stream"]
+
+
 class TestChaosGates:
     def test_load_spike_survives_and_degrades(self, reports):
         r = reports["load_spike"]
+        s = _stream(r)["stats"]
         assert r["passed"], r["gates"]
-        assert r["deepest_rung"] > 0, "the spike must shed at least one rung"
-        assert r["stats"]["incidents"].get("rung_degraded", 0) >= 1
+        assert s["max_rung"] > 0, "the spike must shed at least one rung"
+        assert s["incidents"].get("rung_degraded", 0) >= 1
 
     def test_stall_poison_recovers_everything(self, reports):
         r = reports["stall_poison"]
+        s = _stream(r)["stats"]
         assert r["passed"], r["gates"]
-        wd = r["stats"]["watchdog"]
+        wd = s["watchdog"]
         assert wd["cancels"] >= 1, "the soft stall must be cancelled"
         assert wd["restarts"] >= 1, "the hard stall must restart the consumer"
-        assert r["stats"]["quarantined"] == 3
-        assert r["stats"]["crashes"] == 0
+        assert s["quarantined"] == 3
+        assert s["crashes"] == 0
 
     def test_bit_faults_within_recall_bound(self, reports):
         r = reports["bit_faults"]
         assert r["passed"], r["gates"]
-        counts = r["incidents"]["counts"]
+        counts = _stream(r)["incidents"]["counts"]
         assert counts.get("fault_injected", 0) == 2  # datapath + model
 
     def test_all_scenarios_zero_crashes(self, reports):
-        assert all(r["stats"]["crashes"] == 0 for r in reports.values())
+        assert all(_stream(r)["stats"]["crashes"] == 0
+                   for r in reports.values())
 
 
 class TestTruncationCurve:
@@ -216,14 +223,15 @@ class TestTruncationCurve:
 
 def test_write_results(reports, truncation_curve, budget):
     widths = (14, 8, 8, 10, 10, 10, 10, 8)
-    lines = [fmt_row(("scenario", "passed", "frames", "recall", "clean",
+    lines = [fmt_row(("scenario", "passed", "frames", "recall", "twin",
                       "proc_p95", "deepest", "crashes"), widths)]
     for name, r in reports.items():
+        e = _stream(r)
         lines.append(fmt_row((
-            name, r["passed"], r["stats"]["frames"],
-            f"{r['recall_chaos']:.3f}", f"{r['recall_clean']:.3f}",
-            f"{r['stats']['proc_p95'] * 1e3:.1f}ms",
-            r["deepest_rung_name"], r["stats"]["crashes"]), widths))
+            name, r["passed"], e["stats"]["frames"],
+            f"{e['recall']:.3f}", f"{e['recall_twin']:.3f}",
+            f"{e['stats']['proc_p95'] * 1e3:.1f}ms",
+            e["deepest_rung_name"], e["stats"]["crashes"]), widths))
     lines.append("")
     lines.append(fmt_row(("words", "dim", "fraction", "accuracy"),
                          (8, 8, 10, 10)))

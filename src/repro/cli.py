@@ -264,8 +264,9 @@ def build_parser():
                        help="chaos gate: p95 must stay within "
                             "budget * tolerance")
     serve.add_argument("--max-recall-drop", type=float, default=0.05,
-                       help="chaos gate: served recall may trail the "
-                            "rung-pinned clean run by at most this")
+                       help="chaos gate: served recall may trail a clean "
+                            "twin replayed at the served rungs by at most "
+                            "this")
     serve.add_argument("--checkpoint", metavar="NPZ",
                        help="save the runtime state checkpoint here at the "
                             "end of the run")
@@ -702,8 +703,8 @@ def _cmd_serve(args, out):
     from .datasets.synth import moving_face_sequence
     from .pipeline import (HDFacePipeline, PyramidDetector,
                            SlidingWindowDetector)
-    from .runtime import (ChaosScenario, ResilientVideoDetector, run_chaos,
-                          save_runtime)
+    from .runtime import (ChaosScenario, ResilientVideoDetector,
+                          run_scenario, save_runtime)
 
     xtr, ytr = make_face_dataset(96, size=args.window, seed_or_rng=args.seed)
     print(f"training face model (D={args.dim}) ...", file=out)
@@ -739,18 +740,16 @@ def _cmd_serve(args, out):
                             budget, stall_timeout)
     made = []
 
-    def make_runtime(ladder=None, budget_override=None, **kwargs):
-        kwargs.setdefault("budget", budget_override or budget)
-        kwargs.setdefault("scrub_budget", args.scrub_budget)
+    def make_runtime():
+        kwargs = {}
         if args.planner:
-            kwargs.setdefault("planner", True)
-            kwargs.setdefault("replan_every", args.replan_every)
+            kwargs.update(planner=True, replan_every=args.replan_every)
         if args.adapt:
-            kwargs.setdefault("adapt", True)
-            kwargs.setdefault("adapt_kwargs", {"seed_or_rng": args.seed})
+            kwargs.update(adapt=True, adapt_kwargs={"seed_or_rng": args.seed})
         runtime = ResilientVideoDetector(
-            make_detector(), ladder=ladder, stall_timeout=stall_timeout,
-            queue_size=args.queue_size, policy="block", **kwargs)
+            make_detector(), budget=budget, stall_timeout=stall_timeout,
+            queue_size=args.queue_size, policy="block",
+            scrub_budget=args.scrub_budget, **kwargs)
         made.append(runtime)
         return runtime
 
@@ -772,13 +771,12 @@ def _cmd_serve(args, out):
               f"datapath fault rate {args.fault_rate}"
               + (f", label poison @{sorted(label_poison)}"
                  if label_poison else ""), file=out)
-        report = run_chaos(
-            lambda ladder=None, budget=None: make_runtime(ladder, budget),
-            frames, [[t] for t in truth], scenario,
+        report = run_scenario(
+            make_runtime, frames, [[t] for t in truth], scenario,
             max_recall_drop=args.max_recall_drop,
             p95_tolerance=args.p95_tolerance)
-        runtime = made[0]
-        s = report["stats"]
+        entry = report["streams"]["stream"]
+        s = entry["stats"]
         print(f"served {s['frames']} frames ({s['predicted']} predicted, "
               f"{s['cancelled']} cancelled, {s['quarantined']} quarantined, "
               f"{s['crashes']} crashes)", file=out)
@@ -788,11 +786,11 @@ def _cmd_serve(args, out):
               f"ms (budget {budget * 1e3:.1f} ms)", file=out)
         print(f"watchdog: {s['watchdog']['cancels']} cancels, "
               f"{s['watchdog']['restarts']} restarts; deepest rung "
-              f"{report['deepest_rung_name']}", file=out)
-        print(f"recall: chaos {report['recall_chaos']:.3f} vs rung-pinned "
-              f"clean {report['recall_clean']:.3f} "
-              f"(drop {report['recall_drop']:+.3f}, unserved "
-              f"{report['frames_unserved']})", file=out)
+              f"{entry['deepest_rung_name']}", file=out)
+        print(f"recall: chaos {entry['recall']:.3f} vs clean twin "
+              f"{entry['recall_twin']:.3f} "
+              f"(drop {entry['recall_drop']:+.3f}, unserved "
+              f"{entry['frames_unserved']})", file=out)
         for gate, ok in report["gates"].items():
             print(f"  gate {gate:20s} {'PASS' if ok else 'FAIL'}", file=out)
     else:
@@ -857,17 +855,23 @@ def _cmd_serve(args, out):
 def _serve_fleet(args, out, frames, truth, make_detector, budget,
                  stall_timeout):
     """The ``serve --streams N`` path: fleet dispatcher + batch gate."""
-    from .runtime import ChaosScenario, FleetDispatcher, run_fleet_chaos
+    from .runtime import ChaosScenario, FleetDispatcher, run_scenario
 
-    fleet = FleetDispatcher(
-        make_detector, budget=budget, max_streams=args.streams,
-        batch_window=args.batch_window, stall_timeout=stall_timeout,
-        queue_size=args.queue_size, policy="block", adapt=args.adapt,
-        planner=args.planner, scrub_budget=args.scrub_budget,
-        guard_kwargs={"seed_or_rng": args.seed} if args.adapt else None)
     names = [f"cam{i}" for i in range(args.streams)]
-    for i, name in enumerate(names):
-        fleet.add_stream(name, priority=float(i))
+    made = []
+
+    def make_fleet():
+        fleet = FleetDispatcher(
+            make_detector, budget=budget, max_streams=args.streams,
+            batch_window=args.batch_window, stall_timeout=stall_timeout,
+            queue_size=args.queue_size, policy="block", adapt=args.adapt,
+            planner=args.planner, scrub_budget=args.scrub_budget,
+            guard_kwargs={"seed_or_rng": args.seed} if args.adapt else None)
+        for i, name in enumerate(names):
+            fleet.add_stream(name, priority=float(i))
+        made.append(fleet)
+        return fleet
+
     print(f"fleet: {args.streams} streams sharing one packed datapath "
           f"(batch window {args.batch_window * 1e3:.1f} ms, budget "
           f"{budget * 1e3:.1f} ms/frame)", file=out)
@@ -892,18 +896,23 @@ def _serve_fleet(args, out, frames, truth, make_detector, budget,
                  if label_poison else "")
               + f"); {args.streams - 1} healthy streams "
               f"must hold p95", file=out)
-        report = run_fleet_chaos(fleet, frames, [[t] for t in truth],
-                                 {victim: scenario},
-                                 p95_tolerance=args.p95_tolerance)
-        for name, s in report["streams"].items():
-            print(f"  {name:6s} {s['role']:7s}  {s['frames']:3d} frames  "
+        report = run_scenario(make_fleet, frames, [[t] for t in truth],
+                              {victim: scenario},
+                              max_recall_drop=args.max_recall_drop,
+                              p95_tolerance=args.p95_tolerance)
+        fleet = made[0]
+        for name, e in report["streams"].items():
+            s = e["stats"]
+            role = "victim" if e["scenario"] else "healthy"
+            print(f"  {name:6s} {role:7s}  {s['frames']:3d} frames  "
                   f"proc p95 {s['proc_p95'] * 1e3:7.1f} ms  recall "
-                  f"{s['recall']:.3f}  watchdog "
-                  f"{s['watchdog']['cancels']}c/"
+                  f"{e['recall']:.3f} (twin {e['recall_twin']:.3f})  "
+                  f"watchdog {s['watchdog']['cancels']}c/"
                   f"{s['watchdog']['restarts']}r", file=out)
         for gate, ok in report["gates"].items():
             print(f"  gate {gate:20s} {'PASS' if ok else 'FAIL'}", file=out)
     else:
+        fleet = make_fleet()
         fleet.start()
         for i, frame in enumerate(frames):
             for name in names:

@@ -271,7 +271,6 @@ class HDHOGExtractor:
         self.gamma = bool(gamma)
         self.store_policy = store_policy
         self._rng = rng
-        self._keyed_noise = None
         # Deterministic per-intensity codebook: the paper's base hypervector
         # generation assigns *one* hypervector per pixel value (Fig. 1a).
         # Both item memories are pure functions of generator states captured
@@ -306,6 +305,15 @@ class HDHOGExtractor:
                 policy=basis_policy, name="basis", golden=self.codec.basis,
                 on_repair=self._rebind_basis)
         self._key_cache = {}
+        # Keyed noise for the shared-feature pass, seeded from the basis once,
+        # here, while it is known good: a later basis corruption must not
+        # leak into every stream the extractor ever draws.  Tied to the basis
+        # (not the stateful rng) so creating it never perturbs the draw
+        # sequence of the legacy per-image pipeline, and so that extractors
+        # built from the same seed replay the same streams.
+        digest = hashlib.blake2s(self.codec.basis.tobytes(),
+                                 digest_size=8).digest()
+        self._noise = KeyedNoise(int.from_bytes(digest, "little"))
         # Interior bin boundaries within the first-quadrant fold, as tangents.
         per_quad = self.n_bins // 4
         angles = (np.arange(1, per_quad)) * (2.0 * np.pi / self.n_bins)
@@ -583,18 +591,20 @@ class HDHOGExtractor:
     # ------------------------------------------------------------------
     # shared-feature pass: whole-image fields, window slicing
     # ------------------------------------------------------------------
-    def _noise(self):
-        """Keyed noise source, derived deterministically from the codec basis.
+    def verify_items(self):
+        """Digest-check and repair the protected item memories before a read.
 
-        Tied to the basis (not the stateful rng) so that creating it never
-        perturbs the draw sequence of the legacy per-image pipeline, and so
-        that extractors built from the same seed replay the same streams.
+        Under a protective ``store_policy`` every fields pass calls this
+        once, before any strip is read (or handed to a worker thread), so
+        corruption that landed since the last scrub is repaired instead of
+        extracted into cached fields.  Memories are checked in
+        :meth:`item_memories` order: the basis first, because the pixel
+        table regenerates against it.  The default ``store`` policy has no
+        detection contract and skips the check.
         """
-        if self._keyed_noise is None:
-            digest = hashlib.blake2s(self.codec.basis.tobytes(),
-                                     digest_size=8).digest()
-            self._keyed_noise = KeyedNoise(int.from_bytes(digest, "little"))
-        return self._keyed_noise
+        if self.store_policy != "store":
+            for memory in self.item_memories().values():
+                memory.scrub()
 
     def _fields_region(self, scene, origin, size, injector=None):
         """Stages 1-4 over one region of ``scene`` with position-keyed noise.
@@ -622,7 +632,7 @@ class HDHOGExtractor:
                        * (self.levels - 1)).astype(np.int64)
         pix = inject(self._pixel_table[idx], "pixels")
 
-        ops = _KeyedOps(self.codec, self._noise(), scene.shape, (y0, x0), (h, w))
+        ops = _KeyedOps(self.codec, self._noise, scene.shape, (y0, x0), (h, w))
         v_gx = ops.sub_half(pix[2:, 1:-1], pix[:-2, 1:-1])
         v_gy = ops.sub_half(pix[1:-1, 2:], pix[1:-1, :-2])
         v_gx = inject(v_gx, "gx")
@@ -657,6 +667,7 @@ class HDHOGExtractor:
         scene = np.asarray(scene, dtype=np.float64)
         if scene.ndim != 2:
             raise ValueError(f"expected 2-D scene, got {scene.shape}")
+        self.verify_items()
         h, w = scene.shape
         if strip_rows is None:
             # ~2 MB int8 per intermediate tensor, at least 8 rows per strip.
@@ -694,6 +705,7 @@ class HDHOGExtractor:
         ``extract_fields(scene)`` sliced at the window, which is what the
         shared-vs-per-window equivalence test pins.
         """
+        self.verify_items()
         return self._fields_region(scene, origin, (int(window), int(window)),
                                    injector)
 

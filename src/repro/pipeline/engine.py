@@ -622,6 +622,7 @@ class SharedFeatureEngine:
         w = x1 - x0
         strip_rows = max(8, (1 << 21) // max(w * ext.dim, 1))
         with self.profiler.stage("delta_fields"):
+            ext.verify_items()
             parts = [
                 ext._fields_region(scene, (r0, x0),
                                    (min(strip_rows, y1 - r0), w))

@@ -28,7 +28,8 @@ the production detection stack:
 The detection-level campaign that sweeps these fault models through the
 full sliding-window/pyramid path lives in
 :func:`repro.noise.campaign.detection_robustness`; the sustained-BER
-serving soak in :func:`repro.runtime.chaos.run_ber_soak`.
+serving soak (a :class:`~repro.runtime.chaos.ChaosScenario` with ``ber``) in
+:func:`repro.runtime.chaos.run_scenario`.
 """
 
 from .ecc import (

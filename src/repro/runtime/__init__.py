@@ -12,7 +12,7 @@ the recall/latency contract.  See ``docs/runtime.md``.
 """
 
 from .chaos import (SOAK_SURFACES, ChaosInjector, ChaosScenario,
-                    poison_frame, run_ber_soak, run_chaos, run_fleet_chaos)
+                    poison_frame, run_scenario, served_recall)
 from .adapt import DriftDetector, OnlineAdapter
 from .checkpoint import (CheckpointVersionError, load_model_state,
                          load_runtime_state, model_state, restore_model,
@@ -44,9 +44,8 @@ __all__ = [
     "ChaosScenario",
     "ChaosInjector",
     "poison_frame",
-    "run_chaos",
-    "run_ber_soak",
-    "run_fleet_chaos",
+    "run_scenario",
+    "served_recall",
     "SOAK_SURFACES",
     "FleetDispatcher",
     "FleetScheduler",

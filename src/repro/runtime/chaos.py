@@ -1,34 +1,34 @@
-"""Chaos harness: inject failures into the serving runtime, gate on SLOs.
+"""Chaos harness: act out failure scenarios on a serving target, gate on SLOs.
 
 Reliability claims that are only exercised by unit tests die in
 production, so the runtime ships with its own adversary.  A
 :class:`ChaosScenario` scripts a deterministic failure timeline over a
 frame stream - processing stalls (soft ones that honor the cancel flag
-and hard ones that wedge the consumer), poison frames, packed bit faults
-in the feature datapath, corrupted stored class models, and load spikes -
-and :func:`run_chaos` drives the runtime through it end to end, then
-checks the contract:
+and hard ones that wedge the consumer), poison frames, load spikes,
+packed bit faults in the feature datapath, a corrupted stored class
+model, online-learning attacks, and a sustained bit-error rate on the
+long-lived memories (scene cache, item memories, guarded class model).
+:class:`ChaosInjector` acts every fault out from the runtime's
+``pre_frame`` hook, and :func:`run_scenario` drives a serving target
+through it end to end: a bare
+:class:`~repro.runtime.serving.ResilientVideoDetector` is served as one
+stream, a :class:`~repro.runtime.fleet.FleetDispatcher` as its N
+admitted streams, each under its own scenario.
 
-* the loop never crashes (``crashes == 0``);
-* every stall is recovered by the watchdog (cancel or restart);
-* every poison frame is quarantined, and none of them contaminated the
-  engine's content-addressed scene cache;
-* served recall stays within ``max_recall_drop`` of a *clean* run pinned
-  at the deepest degradation rung the chaos run reached (degrading under
-  attack is the design; detecting worse than the rung explains is a bug);
-* the p95 of served frame *processing* latency stays within the budget
-  (times an explicit tolerance) - processing cost is what the ladder
-  controls, so this is the "degradation bought back the deadline" check;
-  submit-to-done latency (which also carries the queue wait frames
-  inherit from an upstream stall) is reported alongside, ungated;
-* on adapting runtimes (``adapt=True``), scripted online-learning
-  attacks (``label_poison``, ``update_storm``) must be caught at the
-  model's door: poisoned updates detected (rejected or outvoted) and
-  rolled back, storms throttled to the proposal budget - with the recall
-  gate proving clean recall survived the attack.
+Every stream is compared against a clean *twin*: the same frames
+replayed through a second, never-injected target, each frame at the
+rung it was served at (degrading under attack is the design; detecting
+worse than the served rung explains is a bug).  One gate table then
+checks each stream, arming a gate only when that stream's scenario
+scripts what it checks: ``no_crashes``, ``p95_within_budget`` and
+``recall_within_bound`` always; ``stalls_recovered`` for stalls;
+``poison_quarantined`` and ``poison_not_cached`` for poison;
+``corruption_detected`` and ``zero_silent_corruption`` for a ``ber``;
+the :func:`_adapt_gates` for online-learning attacks.  The gate table
+with what each gate checks is in ``docs/runtime.md``.
 
-The verdict plus the full incident trail is returned JSON-ready for
-``benchmarks/bench_runtime_resilience.py`` and the CI chaos-smoke job.
+The verdict plus the full incident trail is returned JSON-ready for the
+benches, the ``serve --chaos`` CLI and the CI smoke jobs.
 """
 
 from __future__ import annotations
@@ -40,21 +40,26 @@ import numpy as np
 
 from ..noise.campaign import _match_detections
 from ..pipeline.engine import scene_key
-from ..reliability.faults import DetectionFaultInjector
-from .ladder import DegradationLadder
+from ..reliability.faults import DetectionFaultInjector, flip_packed_words
+from .fleet import FleetDispatcher
 from .watchdog import FrameCancelled
 
-__all__ = ["ChaosScenario", "ChaosInjector", "poison_frame", "run_chaos",
-           "run_ber_soak", "run_fleet_chaos", "POISON_KINDS",
-           "SOAK_SURFACES"]
+__all__ = ["ChaosScenario", "ChaosInjector", "poison_frame", "run_scenario",
+           "served_recall", "POISON_KINDS", "SOAK_SURFACES"]
 
 #: Poison payloads the harness can forge (quarantine reason they trip).
 POISON_KINDS = ("nan", "inf", "constant", "shape", "ndim", "dtype")
 
-#: Memory surfaces the continuous-BER soak can bombard (see
-#: :func:`run_ber_soak`): the engine's scene cache, the extractor's item
-#: memories, and the (guarded) class model.
+#: Memory surfaces a scenario's sustained bit-error rate can bombard: the
+#: engine's scene cache, the extractor's item memories, and the (guarded)
+#: class model.
 SOAK_SURFACES = ("cache", "items", "model")
+
+#: IoU a served box needs with a truth box to count as a hit.
+IOU_MATCH = 0.25
+
+#: Drain deadline handed to the target's ``stop``.
+STOP_TIMEOUT = 30.0
 
 
 def poison_frame(kind, shape=(64, 64), rng=None):
@@ -130,6 +135,17 @@ class ChaosScenario:
         ``n`` back-to-back copies of its next harvest
         (:meth:`~repro.runtime.adapt.OnlineAdapter.storm_next`); the
         per-frame proposal budget must suppress the excess.
+    ber:
+        Sustained bit-error rate: before every ``inject_every``-th frame,
+        each stored bit of the ``surfaces`` flips with this probability.
+        Digests and parity are never refreshed - detection is the
+        runtime's job (hit-time ECC + recompute, the
+        :class:`~repro.reliability.scrubber.MemoryScrubber`, the
+        guard's repair ladder, read-time item-memory verification).
+    surfaces:
+        Which of :data:`SOAK_SURFACES` the ``ber`` bombards.
+    inject_every:
+        Frames between ``ber`` injection rounds.
     seed:
         Randomness for fault positions.
     """
@@ -144,7 +160,17 @@ class ChaosScenario:
     model_fault_rate: float = 0.0
     label_poison: dict = field(default_factory=dict)
     update_storm: dict = field(default_factory=dict)
+    ber: float = 0.0
+    surfaces: tuple = SOAK_SURFACES
+    inject_every: int = 1
     seed: int = 0
+
+    def __post_init__(self):
+        self.surfaces = tuple(self.surfaces)
+        unknown = set(self.surfaces) - set(SOAK_SURFACES)
+        if unknown:
+            raise ValueError(f"unknown soak surfaces {sorted(unknown)}; "
+                             f"expected among {SOAK_SURFACES}")
 
     def payload(self):
         """JSON-safe scenario description for the report."""
@@ -163,6 +189,9 @@ class ChaosScenario:
                              for k, v in self.label_poison.items()},
             "update_storm": {int(k): int(v)
                              for k, v in self.update_storm.items()},
+            "ber": float(self.ber),
+            "surfaces": list(self.surfaces),
+            "inject_every": int(self.inject_every),
             "seed": self.seed,
         }
 
@@ -172,8 +201,10 @@ class ChaosInjector:
 
     Runs in the consumer thread immediately before a frame's detection
     work, so its stalls occupy exactly the processing slot the watchdog
-    monitors, and its per-frame arming of the datapath injector is
-    synchronous with the frame it targets.
+    monitors, and its per-frame arming of the datapath injector and its
+    bit-error rounds are synchronous with the frame they target.
+    Construction applies the run-long faults (a corrupted stored model)
+    and records every armed fault in the runtime's incident log.
     """
 
     def __init__(self, scenario, runtime):
@@ -184,12 +215,59 @@ class ChaosInjector:
             self.injector = DetectionFaultInjector(
                 scenario.fault_rate, runtime.base.pipeline.dim,
                 seed_or_rng=scenario.seed)
+            runtime.incidents.record("fault_injected", surface="datapath",
+                                     rate=scenario.fault_rate)
+        if scenario.model_fault_rate > 0.0:
+            runtime.model_override = runtime.base.packed_model().corrupted(
+                scenario.model_fault_rate, seed_or_rng=scenario.seed)
+            runtime.incidents.record("fault_injected", surface="model",
+                                     rate=scenario.model_fault_rate)
+        self.injected = {}
+        if scenario.ber > 0.0:
+            self.injected = dict.fromkeys(scenario.surfaces, 0)
+            for surface in scenario.surfaces:
+                runtime.incidents.record("fault_injected", surface=surface,
+                                         rate=float(scenario.ber),
+                                         mode="soak")
+        self._ber_rng = np.random.default_rng(scenario.seed)
         self.stalled = []
+        #: Frames numbered below this were served while the class model
+        #: flagged no degraded class (degradation is sticky, so a clean
+        #: check before frame ``i`` covers every earlier frame).
+        self.undegraded_before = 0
 
     def _frame_number(self, index, meta):
         if meta and "frame" in meta:
             return int(meta["frame"])
         return int(index)
+
+    def _inject_ber(self):
+        """One bit-error round across the scenario's surfaces.
+
+        Counts per surface: corrupted buffers (cache), flipped elements
+        (items), flipped stored bits (model).
+        """
+        sc, rng, runtime = self.scenario, self._ber_rng, self.runtime
+        if "cache" in self.injected:
+            self.injected["cache"] += runtime.engine.corrupt_cache(sc.ber, rng)
+        extractor = getattr(runtime.engine, "extractor", None)
+        if "items" in self.injected and hasattr(extractor, "item_memories"):
+            for memory in extractor.item_memories().values():
+                self.injected["items"] += memory.corrupt(sc.ber, rng)
+        model = runtime.model_override
+        if "model" in self.injected and hasattr(model, "replicas"):
+            lock = getattr(model, "_lock", None)
+            if lock is not None:
+                lock.acquire()
+            try:
+                flipped = flip_packed_words(model.replicas, model.dim,
+                                            sc.ber, rng)
+                self.injected["model"] += int(
+                    np.bitwise_count(model.replicas ^ flipped).sum())
+                model.replicas[...] = flipped
+            finally:
+                if lock is not None:
+                    lock.release()
 
     def __call__(self, index, frame, meta, cancel):
         sc = self.scenario
@@ -197,6 +275,10 @@ class ChaosInjector:
         if self.injector is not None:
             lo, hi = sc.fault_frames or (0, float("inf"))
             self.runtime.injector = (self.injector if lo <= i < hi else None)
+        if sc.ber > 0.0 and i % max(int(sc.inject_every), 1) == 0:
+            self._inject_ber()
+        if not getattr(self.runtime.model_override, "degraded_classes", None):
+            self.undegraded_before = i
         adapter = getattr(self.runtime, "adapter", None)
         if adapter is not None:
             kind = sc.label_poison.get(i)
@@ -230,14 +312,14 @@ def _adapt_gates(runtime, scenario):
       diverging replica outvoted (replica kind).
     * ``poison_update_rolled_back`` - every rejected poison was restored
       from the pre-proposal snapshot (the adapter's rollback ledger
-      covers it); clean-recall preservation is the existing
-      ``recall_within_bound`` / healthy-stream gates.
-    * ``storm_throttled`` - the proposal budget suppressed everything an
-      update storm pushed past ``max_updates_per_frame``.
+      covers it); clean-recall preservation is the
+      ``recall_within_bound`` gate.
+    * ``storm_throttled`` - the storm outgrew the proposal budget, and the
+      budget suppressed everything it pushed past
+      ``max_updates_per_frame``.
     """
     adapter = getattr(runtime, "adapter", None)
-    if adapter is None or not (scenario.label_poison
-                               or scenario.update_storm):
+    if adapter is None:
         return {}
     a = adapter.stats()
     gates = {}
@@ -254,11 +336,12 @@ def _adapt_gates(runtime, scenario):
         budget = adapter.max_updates_per_frame
         expected = sum(max(int(n) - budget, 0)
                        for n in scenario.update_storm.values())
-        gates["storm_throttled"] = a["storm_suppressed"] >= expected
+        gates["storm_throttled"] = (expected >= 1
+                                    and a["storm_suppressed"] >= expected)
     return gates
 
 
-def _served_recall(results, truth_by_frame, iou_match=0.25):
+def served_recall(results, truth_by_frame):
     """Mean per-frame recall of what the runtime *served*, plus unserved.
 
     Detected frames are scored on their detections; predicted (tracker
@@ -281,490 +364,254 @@ def _served_recall(results, truth_by_frame, iou_match=0.25):
             continue
         boxes = result.detections if result.mode == "detected" \
             else result.tracks
-        matched = _match_detections(boxes, truth, iou_match)
+        matched = _match_detections(boxes, truth, IOU_MATCH)
         recalls.append(len(matched) / len(truth))
     recall = float(np.mean(recalls)) if recalls else 1.0
     return recall, len(recalls), unserved
 
 
-def run_chaos(make_runtime, frames, truth, scenario, pace=0.0,
-              max_recall_drop=0.05, p95_tolerance=1.0, iou_match=0.25,
-              stop_timeout=30.0):
-    """Drive a runtime through a chaos scenario and gate the outcome.
+def _streams(target):
+    """``{name: runtime}`` of a fleet, or one ``"stream"`` for a runtime."""
+    if isinstance(target, FleetDispatcher):
+        return {name: target[name] for name in target.streams}
+    return {"stream": target}
 
-    Parameters
-    ----------
-    make_runtime:
-        Zero-config factory returning a fresh, un-started
-        :class:`~repro.runtime.serving.ResilientVideoDetector`; also
-        called with ``ladder=``/``budget=`` overrides to build the
-        rung-pinned clean twin the recall gate compares against.
-    frames:
-        The clean frame sequence (poison substitutions happen here).
-    truth:
-        Per-frame ground-truth boxes ``[(y, x, size), ...]`` (one list
-        per frame) for recall scoring.
-    scenario:
-        The :class:`ChaosScenario` to act out.
-    pace:
-        Producer inter-frame sleep in seconds (0 = submit full speed;
-        combined with the bounded queue this is itself a load spike).
-    max_recall_drop:
-        Gate: served recall may trail the rung-pinned clean run by at
-        most this much (absolute).
-    p95_tolerance:
-        Gate: served p95 *processing* latency must stay within
-        ``budget * p95_tolerance``.
-    stop_timeout:
-        Drain deadline handed to ``runtime.stop``.
 
-    Returns
-    -------
-    dict:
-        JSON-ready report: scenario, runtime stats, incident trail,
-        recall comparison, and per-gate verdicts under ``"gates"`` with
-        the overall ``"passed"``.
+def _replay_twin(make_target, frames, served):
+    """Replay every stream's frames through a clean target, rung for rung.
+
+    The twin is a second target from the same factory, so it carries no
+    injector.  Each frame is stepped at the rung it was served at; a
+    frame that was never served keeps the previous frame's rung.
+    Returns ``{stream: {frame: ServeFrameResult}}``.
     """
-    frames = [np.asarray(f) for f in frames]
-    truth_by_frame = {i: list(t) for i, t in enumerate(truth)}
-
-    runtime = make_runtime()
-    injector = ChaosInjector(scenario, runtime)
-    runtime.pre_frame = injector
-    if runtime.quarantine.expect_shape is None and frames:
-        # streams have a fixed camera geometry; arming the expectation
-        # makes wrong-shape poison rejectable
-        runtime.quarantine.expect_shape = tuple(frames[0].shape)
-    if scenario.fault_rate > 0.0:
-        runtime.incidents.record("fault_injected", surface="datapath",
-                                 rate=scenario.fault_rate)
-    if scenario.model_fault_rate > 0.0:
-        clean_model = runtime.base.packed_model()
-        runtime.model_override = clean_model.corrupted(
-            scenario.model_fault_rate, seed_or_rng=scenario.seed)
-        runtime.incidents.record("fault_injected", surface="model",
-                                 rate=scenario.model_fault_rate)
-
-    poison_keys = set()
-    runtime.start()
-    try:
+    out = {}
+    for name, runtime in _streams(make_target()).items():
+        rungs = [r.name for r in runtime.scheduler.ladder.rungs]
+        rung, results = 0, {}
         for i, frame in enumerate(frames):
-            payload = frame
-            kind = scenario.poison.get(i)
-            if kind is not None:
-                payload = poison_frame(kind, frame.shape)
-                if kind in ("nan", "inf", "constant"):
-                    poison_keys.add(scene_key(
-                        np.asarray(payload, dtype=np.float64)))
-            runtime.submit(payload, meta={"frame": i})
-            if pace:
-                time.sleep(pace)
-    finally:
-        runtime.stop(timeout=stop_timeout)
-    stats = runtime.stats()
-
-    # --- rung-pinned clean twin for the recall comparison -------------
-    ladder = runtime.scheduler.ladder
-    deepest = stats["max_rung"]
-    clean = make_runtime(
-        ladder=DegradationLadder([ladder.rungs[deepest]]), budget=1e9)
-    clean_results = {}
-    for i, frame in enumerate(frames):
-        clean_results[i] = clean.step(frame, meta={"frame": i})
-
-    served = {r.meta["frame"]: r for r in runtime.completed
-              if r.meta and "frame" in r.meta}
-    recall_chaos, n_scored, unserved = _served_recall(
-        served, truth_by_frame, iou_match)
-    recall_clean, _, _ = _served_recall(clean_results, truth_by_frame,
-                                        iou_match)
-    recall_drop = recall_clean - recall_chaos
-
-    # --- gates --------------------------------------------------------
-    n_stalls = len(scenario.stalls) + len(scenario.hard_stalls)
-    wd = stats["watchdog"]
-    cache_contaminated = any(key in runtime.engine._cache
-                             for key in poison_keys)
-    budget = runtime.scheduler.budget
-    gates = {
-        "no_crashes": stats["crashes"] == 0,
-        "stalls_recovered": wd["cancels"] + wd["restarts"] >= n_stalls,
-        "poison_quarantined":
-            stats["quarantined"] == len(scenario.poison),
-        "poison_not_cached": not cache_contaminated,
-        "recall_within_bound": recall_drop <= max_recall_drop,
-        "p95_within_budget":
-            stats["proc_p95"] <= budget * p95_tolerance,
-    }
-    gates.update(_adapt_gates(runtime, scenario))
-    return {
-        "scenario": scenario.payload(),
-        "n_frames": len(frames),
-        "pace": pace,
-        "budget": budget,
-        "p95_tolerance": p95_tolerance,
-        "max_recall_drop": max_recall_drop,
-        "stats": {k: v for k, v in stats.items()
-                  if k != "rung_transitions"},
-        "rung_transitions": stats["rung_transitions"],
-        "deepest_rung": deepest,
-        "deepest_rung_name": ladder.rungs[deepest].name,
-        "incidents": runtime.incidents.payload(),
-        "adapt": (runtime.adapter.stats()
-                  if getattr(runtime, "adapter", None) is not None else None),
-        "recall_chaos": recall_chaos,
-        "recall_clean": recall_clean,
-        "recall_drop": recall_drop,
-        "frames_scored": n_scored,
-        "frames_unserved": unserved,
-        "gates": gates,
-        "passed": all(gates.values()),
-    }
+            if i in served[name]:
+                rung = rungs.index(served[name][i].rung)
+            runtime.scheduler.set_rung(rung)
+            results[i] = runtime.step(frame, meta={"frame": i})
+        out[name] = results
+    return out
 
 
-def _inject_ber(runtime, surfaces, ber, rng):
-    """One injection round: sustained bit errors across the armed surfaces.
+def _memory_audit(runtime, injector, scrubber):
+    """Residual-state audit of a ``ber`` stream, after the final sweep.
 
-    Returns per-surface injected counts (cache: corrupted buffers; items:
-    flipped elements; model: flipped stored bits).  Digests and parity are
-    never refreshed - detection is the runtime's job.
+    Returns ``(report, clean)``: the per-surface detection/repair ledger,
+    and whether every surface is digest-clean or explicitly degraded -
+    the cache reports no residual mismatch, every item memory verifies,
+    and the guard scrubs clean (its unrepaired classes are flagged in
+    ``degraded_classes``, never silent).
     """
-    from ..reliability.faults import flip_packed_words
-    injected = dict.fromkeys(surfaces, 0)
-    if "cache" in surfaces:
-        injected["cache"] += runtime.engine.corrupt_cache(ber, rng)
-    if "items" in surfaces:
-        extractor = getattr(runtime.engine, "extractor", None)
-        if hasattr(extractor, "item_memories"):
-            for memory in extractor.item_memories().values():
-                injected["items"] += memory.corrupt(ber, rng)
-    if "model" in surfaces:
-        model = runtime.model_override
-        if model is not None and hasattr(model, "replicas"):
-            lock = getattr(model, "_lock", None)
-            if lock is not None:
-                lock.acquire()
-            try:
-                flipped = flip_packed_words(model.replicas, model.dim,
-                                            ber, rng)
-                injected["model"] += int(
-                    np.bitwise_count(model.replicas ^ flipped).sum())
-                model.replicas[...] = flipped
-            finally:
-                if lock is not None:
-                    lock.release()
-    return injected
-
-
-def run_ber_soak(make_runtime, frames, truth, ber=1e-4,
-                 surfaces=SOAK_SURFACES, inject_every=1, seed=0,
-                 max_recall_drop=0.02, iou_match=0.25):
-    """Serve under a sustained bit-error rate on every memory surface.
-
-    The memory-RAS endurance test: where :func:`run_chaos` scripts
-    discrete failures, this soak *continuously* flips stored bits - in
-    the engine's scene cache, the extractor's item memories and the
-    (guarded) class model - at rate ``ber`` per frame for the whole run,
-    while the runtime's repair machinery (hit-time ECC + recompute,
-    :class:`~repro.reliability.scrubber.MemoryScrubber` background
-    sweeps, the guard's repair ladder) races to keep serving clean.
-    Frames are stepped synchronously so each frame's injection round is
-    deterministic.
-
-    Gates
-    -----
-    * ``no_crashes`` - the loop survived the whole soak;
-    * ``corruption_detected`` - the injected corruption was *seen*
-      (digest mismatches / guard detections / item-memory repairs > 0);
-    * ``zero_silent_corruption`` - after a final full sweep, every
-      surface is digest-clean or *explicitly* degraded: the cache
-      reports no residual mismatch, every item memory verifies, and the
-      guard scrubs clean (its unrepaired classes are flagged in
-      ``degraded_classes``, never silent);
-    * ``recall_within_bound`` - served recall trails a clean twin
-      (rung-pinned like :func:`run_chaos`) by at most
-      ``max_recall_drop``.
-
-    ``make_runtime`` should enable the protections under test
-    (``scrub_budget=``, engine ``scrub=True``, protective item-memory
-    ``store_policy``, a guarded ``model_override``); an unprotected
-    runtime fails the silent-corruption gate by construction - which is
-    the point.
-    """
-    frames = [np.asarray(f) for f in frames]
-    truth_by_frame = {i: list(t) for i, t in enumerate(truth)}
-    surfaces = tuple(surfaces)
-    unknown = set(surfaces) - set(SOAK_SURFACES)
-    if unknown:
-        raise ValueError(f"unknown soak surfaces {sorted(unknown)}; "
-                         f"expected among {SOAK_SURFACES}")
-    rng = np.random.default_rng(seed)
-
-    runtime = make_runtime()
-    for surface in surfaces:
-        runtime.incidents.record("fault_injected", surface=surface,
-                                 rate=float(ber), mode="soak")
-    injected = dict.fromkeys(surfaces, 0)
-    results = {}
-    for i, frame in enumerate(frames):
-        if i % max(int(inject_every), 1) == 0:
-            for surface, count in _inject_ber(runtime, surfaces, ber,
-                                              rng).items():
-                injected[surface] += count
-        result = runtime.step(frame, meta={"frame": i})
-        if result is not None:
-            results[i] = result
-    # final full sweep: last-round injections must not outlive the run
-    scrubber = getattr(runtime, "scrubber", None)
-    if scrubber is not None:
-        scrubber.sweep(frame=len(frames))
-    stats = runtime.stats()
-
-    # --- residual-state audit (the zero-silent-corruption gate) -------
-    cache_residual = runtime.engine.scrub_cache()
-    item_stats, items_clean = [], True
-    extractor = getattr(runtime.engine, "extractor", None)
-    if hasattr(extractor, "item_memories"):
-        for memory in extractor.item_memories().values():
-            items_clean &= memory.verify()
-            item_stats.append(memory.stats())
+    engine = runtime.engine
+    cache_residual = engine.scrub_cache()
+    extractor = getattr(engine, "extractor", None)
+    memories = list(extractor.item_memories().values()) \
+        if hasattr(extractor, "item_memories") else []
+    items_clean = all(memory.verify() for memory in memories)
+    items = [memory.stats() for memory in memories]
     model = runtime.model_override
-    guard_stats, model_residual = None, 0
-    if model is not None and hasattr(model, "scrub"):
+    guard, model_residual = None, 0
+    if hasattr(model, "scrub"):
         model_residual = model.scrub(force=True)
-        guard_stats = model.stats()
-
-    # --- rung-pinned clean twin for the recall comparison -------------
-    ladder = runtime.scheduler.ladder
-    deepest = stats["max_rung"]
-    clean = make_runtime(
-        ladder=DegradationLadder([ladder.rungs[deepest]]), budget=1e9)
-    clean_results = {}
-    for i, frame in enumerate(frames):
-        clean_results[i] = clean.step(frame, meta={"frame": i})
-    recall_soak, n_scored, _ = _served_recall(results, truth_by_frame,
-                                              iou_match)
-    recall_clean, _, _ = _served_recall(clean_results, truth_by_frame,
-                                        iou_match)
-    recall_drop = recall_clean - recall_soak
-
-    info = runtime.engine.cache_info()
-    detections = (info["scrub_mismatches"]
-                  + sum(s["scrub_repairs"] for s in item_stats)
-                  + (guard_stats["detected"] if guard_stats else 0))
-    repairs = (info["scrub_repairs"] + info["scrub_evictions"]
-               + sum(s["scrub_repairs"] for s in item_stats)
-               + (guard_stats["repaired"] + guard_stats["unrepairable"]
-                  if guard_stats else 0))
-    gates = {
-        "no_crashes": stats["crashes"] == 0,
-        "corruption_detected": detections > 0
-        if any(injected.values()) else True,
-        "zero_silent_corruption": (cache_residual["mismatches"] == 0
-                                   and items_clean
-                                   and model_residual == 0),
-        "recall_within_bound": recall_drop <= max_recall_drop,
-    }
-    return {
-        "ber": float(ber),
-        "surfaces": list(surfaces),
-        "inject_every": int(inject_every),
-        "n_frames": len(frames),
-        "injected": injected,
-        "detections": detections,
-        "repairs": repairs,
+        guard = model.stats()
+    info = engine.cache_info()
+    item_repairs = sum(s["scrub_repairs"] for s in items)
+    report = {
+        "injected": dict(injector.injected),
+        "detections": (info["scrub_mismatches"] + item_repairs
+                       + (guard["detected"] if guard else 0)),
+        "repairs": (info["scrub_repairs"] + info["scrub_evictions"]
+                    + item_repairs
+                    + (guard["repaired"] + guard["unrepairable"]
+                       if guard else 0)),
         "cache": {k: info[k] for k in
                   ("scrub_checks", "scrub_mismatches", "scrub_repairs",
                    "scrub_evictions", "ecc_corrected_words",
                    "ecc_detected_words")},
         "cache_residual": cache_residual,
-        "items": item_stats,
-        "guard": guard_stats,
+        "items": items,
+        "guard": guard,
         "scrubber": scrubber.stats() if scrubber is not None else None,
-        "incidents": runtime.incidents.payload(),
-        "deepest_rung": deepest,
-        "deepest_rung_name": ladder.rungs[deepest].name,
-        "recall_soak": recall_soak,
-        "recall_clean": recall_clean,
-        "recall_drop": recall_drop,
-        "frames_scored": n_scored,
-        "max_recall_drop": max_recall_drop,
-        "gates": gates,
-        "passed": all(gates.values()),
     }
+    clean = (cache_residual["mismatches"] == 0 and items_clean
+             and model_residual == 0)
+    return report, clean
 
 
-def _arm_stream(runtime, scenario, frames):
-    """Wire one stream's chaos scenario into its runtime (pre-start)."""
-    injector = ChaosInjector(scenario, runtime)
-    runtime.pre_frame = injector
-    if runtime.quarantine.expect_shape is None and frames:
-        runtime.quarantine.expect_shape = tuple(frames[0].shape)
-    if scenario.fault_rate > 0.0:
-        runtime.incidents.record("fault_injected", surface="datapath",
-                                 rate=scenario.fault_rate)
-    if scenario.model_fault_rate > 0.0:
-        clean_model = runtime.base.packed_model()
-        runtime.model_override = clean_model.corrupted(
-            scenario.model_fault_rate, seed_or_rng=scenario.seed)
-        runtime.incidents.record("fault_injected", surface="model",
-                                 rate=scenario.model_fault_rate)
-
-
-def run_fleet_chaos(fleet, frames, truth, scenarios, pace=0.0,
-                    p95_tolerance=1.5, min_recall=None, iou_match=0.25,
-                    stop_timeout=30.0):
-    """Drive a multi-stream fleet through per-stream chaos; gate isolation.
-
-    The fleet-level reliability contract is *blast-radius containment*:
-    when one stream stalls, goes poison, or gets a corrupted datapath,
-    the *other* streams - which share the engine, the batch gate and the
-    CPU - must keep serving inside their latency budgets.  The
-    single-stream harness (:func:`run_chaos`) already proves each stream
-    survives its own chaos; this one proves the streams survive *each
-    other's*.
+def run_scenario(make_target, frames, truth, scenarios, pace=0.0,
+                 max_recall_drop=0.05, p95_tolerance=1.0):
+    """Serve ``frames`` under chaos, replay a clean twin, gate every stream.
 
     Parameters
     ----------
-    fleet:
-        An un-started :class:`~repro.runtime.fleet.FleetDispatcher` with
-        its streams already admitted.
-    frames, truth:
-        One clean frame sequence with per-frame ground-truth boxes;
-        every stream is fed the same sequence (chaos substitutions are
-        per stream), so per-stream results stay comparable.
+    make_target:
+        Zero-argument factory returning an un-started serving target: a
+        :class:`~repro.runtime.serving.ResilientVideoDetector` (served as
+        one stream, named ``"stream"`` in the report) or a
+        :class:`~repro.runtime.fleet.FleetDispatcher` with its streams
+        admitted.  Called twice: once for the served target, once for
+        the clean twin.
+    frames:
+        The clean frame sequence, fed to every stream (poison
+        substitutions happen per stream at submit time).
+    truth:
+        Per-frame ground-truth boxes ``[(y, x, size), ...]`` (one list
+        per frame) for recall scoring.
     scenarios:
-        ``{stream_name: ChaosScenario}`` for the victim streams; streams
-        absent from the mapping run clean and carry the healthy-stream
-        gates.  At least one healthy stream is required - a fleet where
-        everything is under attack has no isolation claim to check.
+        A :class:`ChaosScenario` for a single-stream target, or
+        ``{stream_name: ChaosScenario}``; streams without one run clean
+        and carry only the always-armed gates.
     pace:
-        Producer sleep between frame *rounds* (each round submits one
-        frame to every stream).
+        Producer sleep in seconds between frame rounds (each round
+        submits one frame to every stream; 0 = full speed, which with
+        the bounded intake queue is itself a load spike).
+    max_recall_drop:
+        Gate: served recall may trail the twin's by at most this much
+        (absolute).
     p95_tolerance:
-        Gate: every healthy stream's served p95 processing latency must
-        stay within ``budget * p95_tolerance`` while the victims are
-        under chaos.
-    min_recall:
-        Optional absolute served-recall floor gated on healthy streams
-        (recall is always reported).
-    stop_timeout:
-        Drain deadline handed to ``fleet.stop``.
+        Gate: served p95 *processing* latency must stay within
+        ``budget * p95_tolerance``.
 
-    Returns a JSON-ready report with per-stream summaries, the fleet
-    rollup, per-gate verdicts and the overall ``"passed"``.
+    Returns
+    -------
+    dict:
+        JSON-ready report: per-stream scenario, serving stats, incident
+        trail, recall against the twin, memory audit (``ber`` streams)
+        and gates under ``"streams"``; the gates AND-ed across streams
+        under ``"gates"``; the overall ``"passed"``; and, for fleets,
+        the fleet rollup under ``"fleet"``.
     """
     frames = [np.asarray(f) for f in frames]
     truth_by_frame = {i: list(t) for i, t in enumerate(truth)}
-    scenarios = dict(scenarios)
-    names = list(fleet.streams)
-    unknown = set(scenarios) - set(names)
+    target = make_target()
+    streams = _streams(target)
+    if isinstance(scenarios, ChaosScenario):
+        if len(streams) != 1:
+            raise ValueError("a fleet takes {stream_name: ChaosScenario}")
+        scenarios = {next(iter(streams)): scenarios}
+    unknown = set(scenarios) - set(streams)
     if unknown:
         raise ValueError(f"scenarios name unadmitted streams: "
                          f"{sorted(unknown)}")
-    healthy = [n for n in names if n not in scenarios]
-    if not healthy:
-        raise ValueError("fleet chaos needs at least one healthy stream "
-                         "to gate isolation on")
+    plan = {name: scenarios.get(name) or ChaosScenario(name)
+            for name in streams}
+    injectors = {}
+    for name, runtime in streams.items():
+        if runtime.quarantine.expect_shape is None and frames:
+            # streams have a fixed camera geometry; arming the
+            # expectation makes wrong-shape poison rejectable
+            runtime.quarantine.expect_shape = tuple(frames[0].shape)
+        injectors[name] = runtime.pre_frame = ChaosInjector(plan[name],
+                                                            runtime)
 
-    poison_keys = set()
-    for name, scenario in scenarios.items():
-        _arm_stream(fleet[name], scenario, frames)
-    for name in healthy:
-        if fleet[name].quarantine.expect_shape is None and frames:
-            fleet[name].quarantine.expect_shape = tuple(frames[0].shape)
-
-    fleet.start()
+    poison_keys = {name: set() for name in streams}
+    target.start()
     try:
         for i, frame in enumerate(frames):
-            for name in names:
+            for name, runtime in streams.items():
                 payload = frame
-                scenario = scenarios.get(name)
-                kind = scenario.poison.get(i) if scenario else None
+                kind = plan[name].poison.get(i)
                 if kind is not None:
                     payload = poison_frame(kind, frame.shape)
                     if kind in ("nan", "inf", "constant"):
-                        poison_keys.add(scene_key(
+                        poison_keys[name].add(scene_key(
                             np.asarray(payload, dtype=np.float64)))
-                fleet.submit(name, payload, meta={"frame": i})
+                runtime.submit(payload, meta={"frame": i})
             if pace:
                 time.sleep(pace)
     finally:
-        fleet.stop(timeout=stop_timeout)
+        target.stop(timeout=STOP_TIMEOUT)
+    served = {name: {r.meta["frame"]: r for r in runtime.completed
+                     if r.meta and "frame" in r.meta}
+              for name, runtime in streams.items()}
+    covered = {name: len(frames)
+               if not getattr(runtime.model_override, "degraded_classes",
+                              None)
+               else injectors[name].undegraded_before
+               for name, runtime in streams.items()}
+    if (any(sc.ber > 0.0 for sc in plan.values())
+            and target.scrubber is not None):
+        # final full sweep: last-round injections must not outlive the run
+        target.scrubber.sweep(frame=len(frames))
+    audits = {name: _memory_audit(runtime, injectors[name], target.scrubber)
+              for name, runtime in streams.items() if plan[name].ber > 0.0}
+    twin = _replay_twin(make_target, frames, served)
 
-    report_streams = {}
-    per_gate = {"no_crashes": True, "stalls_recovered": True,
-                "poison_quarantined": True, "healthy_p95": True}
-    if min_recall is not None:
-        per_gate["healthy_recall"] = True
-    for name in names:
-        runtime = fleet[name]
-        stats = runtime.stats()
-        scenario = scenarios.get(name)
-        served = {r.meta["frame"]: r for r in runtime.completed
-                  if r.meta and "frame" in r.meta}
-        recall, n_scored, unserved = _served_recall(served, truth_by_frame,
-                                                    iou_match)
+    entries = {}
+    for name, runtime in streams.items():
+        sc, stats = plan[name], runtime.stats()
+        recall, n_scored, unserved = served_recall(served[name],
+                                                   truth_by_frame)
+        # the twin is scored on the frames the stream actually served
+        recall_twin, _, _ = served_recall(
+            {i: twin[name][i] for i in served[name]}, truth_by_frame)
+        compared = differing = 0
+        for i, result in served[name].items():
+            other = twin[name][i]
+            if (i < covered[name] and result.mode == "detected"
+                    and other.mode == "detected"
+                    and result.rung == other.rung):
+                compared += 1
+                differing += result.detections != other.detections
         budget = runtime.scheduler.budget
-        entry = {
-            "role": "victim" if scenario else "healthy",
-            "scenario": scenario.payload() if scenario else None,
-            "frames": stats["frames"],
-            "crashes": stats["crashes"],
-            "quarantined": stats["quarantined"],
-            "proc_p95": stats["proc_p95"],
-            "latency_p95": stats["latency_p95"],
-            "budget": budget,
-            "rung_name": stats["rung_name"],
-            "max_rung": stats["max_rung"],
-            "min_rung": runtime.scheduler.min_rung,
-            "watchdog": stats["watchdog"],
+        gates = {
+            "no_crashes": stats["crashes"] == 0,
+            "p95_within_budget": stats["proc_p95"] <= budget * p95_tolerance,
+            "recall_within_bound": recall_twin - recall <= max_recall_drop,
+        }
+        n_stalls = len(sc.stalls) + len(sc.hard_stalls)
+        if n_stalls:
+            wd = stats["watchdog"]
+            gates["stalls_recovered"] = \
+                wd["cancels"] + wd["restarts"] >= n_stalls
+        if sc.poison:
+            gates["poison_quarantined"] = \
+                stats["quarantined"] == len(sc.poison)
+            gates["poison_not_cached"] = not any(
+                key in runtime.engine._cache for key in poison_keys[name])
+        if sc.ber > 0.0:
+            memory, clean = audits[name]
+            gates["corruption_detected"] = (
+                memory["detections"] > 0
+                if any(memory["injected"].values()) else True)
+            gates["zero_silent_corruption"] = clean and differing == 0
+        gates.update(_adapt_gates(runtime, sc))
+        ladder = runtime.scheduler.ladder
+        entries[name] = {
+            "scenario": sc.payload() if name in scenarios else None,
+            "stats": stats,
+            "deepest_rung_name": ladder.rungs[stats["max_rung"]].name,
+            "incidents": runtime.incidents.payload(),
             "recall": recall,
+            "recall_twin": recall_twin,
+            "recall_drop": recall_twin - recall,
             "frames_scored": n_scored,
             "frames_unserved": unserved,
+            "frames_compared": compared,
+            "frames_differing": differing,
+            "memory": audits[name][0] if name in audits else None,
+            "gates": {k: bool(v) for k, v in gates.items()},
         }
-        if getattr(runtime, "adapter", None) is not None:
-            entry["adapt"] = runtime.adapter.stats()
-        per_gate["no_crashes"] &= stats["crashes"] == 0
-        if scenario:
-            n_stalls = len(scenario.stalls) + len(scenario.hard_stalls)
-            wd = stats["watchdog"]
-            entry["stalls_recovered"] = \
-                wd["cancels"] + wd["restarts"] >= n_stalls
-            per_gate["stalls_recovered"] &= entry["stalls_recovered"]
-            entry["poison_quarantined"] = \
-                stats["quarantined"] == len(scenario.poison)
-            per_gate["poison_quarantined"] &= entry["poison_quarantined"]
-            # online-learning attack gates: the victim's poisoned /
-            # storming updates must be caught at the shared model's door
-            # (the healthy streams' recall/p95 gates then prove the
-            # blast radius stopped there)
-            for key, ok in _adapt_gates(runtime, scenario).items():
-                entry[key] = ok
-                per_gate[key] = per_gate.get(key, True) & ok
-        else:
-            entry["p95_within_budget"] = \
-                stats["proc_p95"] <= budget * p95_tolerance
-            per_gate["healthy_p95"] &= entry["p95_within_budget"]
-            if min_recall is not None:
-                entry["recall_ok"] = recall >= min_recall
-                per_gate["healthy_recall"] &= entry["recall_ok"]
-        report_streams[name] = entry
 
-    engine = fleet.template.detector.engine
-    per_gate["poison_not_cached"] = not any(key in engine._cache
-                                            for key in poison_keys)
-    fleet_stats = fleet.stats()["fleet"]
-    return {
+    rollup = {}
+    for entry in entries.values():
+        for gate, ok in entry["gates"].items():
+            rollup[gate] = rollup.get(gate, True) and ok
+    report = {
         "n_frames": len(frames),
         "pace": pace,
         "p95_tolerance": p95_tolerance,
-        "min_recall": min_recall,
-        "healthy_streams": healthy,
-        "victim_streams": sorted(scenarios),
-        "streams": report_streams,
-        "fleet": {k: v for k, v in fleet_stats.items()
-                  if k != "profile_table"},
-        "gates": per_gate,
-        "passed": all(per_gate.values()),
+        "max_recall_drop": max_recall_drop,
+        "streams": entries,
+        "gates": rollup,
+        "passed": all(rollup.values()),
     }
+    if isinstance(target, FleetDispatcher):
+        report["fleet"] = {k: v for k, v in target.stats()["fleet"].items()
+                           if k != "profile_table"}
+    return report
