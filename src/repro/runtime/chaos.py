@@ -33,6 +33,7 @@ benches, the ``serve --chaos`` CLI and the CI smoke jobs.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, field
 
@@ -230,7 +231,11 @@ class ChaosInjector:
                                          rate=float(scenario.ber),
                                          mode="soak")
         self._ber_rng = np.random.default_rng(scenario.seed)
-        self.stalled = []
+        #: Scene keys of this stream's cacheable poison payloads, and whether
+        #: the engine cache was ever seen holding one: checked before every
+        #: frame, so a later LRU eviction cannot hide it.
+        self.poison_keys = set()
+        self.poison_cached = False
         #: Frames numbered below this were served while the class model
         #: flagged no degraded class (degradation is sticky, so a clean
         #: check before frame ``i`` covers every earlier frame).
@@ -256,18 +261,12 @@ class ChaosInjector:
                 self.injected["items"] += memory.corrupt(sc.ber, rng)
         model = runtime.model_override
         if "model" in self.injected and hasattr(model, "replicas"):
-            lock = getattr(model, "_lock", None)
-            if lock is not None:
-                lock.acquire()
-            try:
+            with getattr(model, "_lock", None) or contextlib.nullcontext():
                 flipped = flip_packed_words(model.replicas, model.dim,
                                             sc.ber, rng)
                 self.injected["model"] += int(
                     np.bitwise_count(model.replicas ^ flipped).sum())
                 model.replicas[...] = flipped
-            finally:
-                if lock is not None:
-                    lock.release()
 
     def __call__(self, index, frame, meta, cancel):
         sc = self.scenario
@@ -279,6 +278,8 @@ class ChaosInjector:
             self._inject_ber()
         if not getattr(self.runtime.model_override, "degraded_classes", None):
             self.undegraded_before = i
+        cache = self.runtime.engine._cache
+        self.poison_cached |= any(key in cache for key in self.poison_keys)
         adapter = getattr(self.runtime, "adapter", None)
         if adapter is not None:
             kind = sc.label_poison.get(i)
@@ -289,11 +290,9 @@ class ChaosInjector:
                 adapter.storm_next(storm)
         hard = sc.hard_stalls.get(i)
         if hard is not None:
-            self.stalled.append(i)
             time.sleep(hard)  # ignores the cancel flag: a wedged call
         soft = sc.stalls.get(i)
         if soft is not None:
-            self.stalled.append(i)
             deadline = time.monotonic() + soft
             while time.monotonic() < deadline:
                 if cancel is not None and cancel.is_set():
@@ -508,8 +507,11 @@ def run_scenario(make_target, frames, truth, scenarios, pace=0.0,
             runtime.quarantine.expect_shape = tuple(frames[0].shape)
         injectors[name] = runtime.pre_frame = ChaosInjector(plan[name],
                                                             runtime)
+        injectors[name].poison_keys = {
+            scene_key(poison_frame(kind, frames[i].shape))
+            for i, kind in plan[name].poison.items()
+            if i < len(frames) and kind in ("nan", "inf", "constant")}
 
-    poison_keys = {name: set() for name in streams}
     target.start()
     try:
         for i, frame in enumerate(frames):
@@ -518,9 +520,6 @@ def run_scenario(make_target, frames, truth, scenarios, pace=0.0,
                 kind = plan[name].poison.get(i)
                 if kind is not None:
                     payload = poison_frame(kind, frame.shape)
-                    if kind in ("nan", "inf", "constant"):
-                        poison_keys[name].add(scene_key(
-                            np.asarray(payload, dtype=np.float64)))
                 runtime.submit(payload, meta={"frame": i})
             if pace:
                 time.sleep(pace)
@@ -572,8 +571,10 @@ def run_scenario(make_target, frames, truth, scenarios, pace=0.0,
         if sc.poison:
             gates["poison_quarantined"] = \
                 stats["quarantined"] == len(sc.poison)
-            gates["poison_not_cached"] = not any(
-                key in runtime.engine._cache for key in poison_keys[name])
+            keys = injectors[name].poison_keys
+            gates["poison_not_cached"] = not (
+                injectors[name].poison_cached
+                or any(key in runtime.engine._cache for key in keys))
         if sc.ber > 0.0:
             memory, clean = audits[name]
             gates["corruption_detected"] = (
