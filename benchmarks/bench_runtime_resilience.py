@@ -38,7 +38,8 @@ from common import SCALE, fmt_row, write_json, write_report
 from repro.datasets import make_face_dataset
 from repro.datasets.synth import moving_face_sequence
 from repro.pipeline import HDFacePipeline, PyramidDetector, SlidingWindowDetector
-from repro.runtime import ChaosScenario, ResilientVideoDetector, run_scenario
+from repro.runtime import (ChaosScenario, ResilientVideoDetector,
+                           run_scenario)
 
 DIM = 1024 if SCALE == "smoke" else 2048
 SCENE = 64
