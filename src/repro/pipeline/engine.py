@@ -41,10 +41,11 @@ Two compute backends execute stages 2-3:
   (Hamming argmin); the accuracy gap against the dense backend is
   quantified in ``benchmarks/bench_packed_backend.py``.
 
-Scene fields (and the grids derived from them) are kept in a small LRU
-cache keyed by the scene contents, so an image-pyramid detector that
-revisits levels - or any caller that rescans the same scene - skips
-straight to assembly.
+Scene fields - and the grids and assembled query sets derived from them
+- are kept in a small LRU cache keyed by the scene contents, so an
+image-pyramid detector that revisits levels, or any caller that rescans
+the same scene, skips extraction and assembly alike and goes straight to
+classification.
 
 For video streams the cache grows a third reuse tier beyond hit/miss:
 **frame-delta incremental extraction** (:meth:`SharedFeatureEngine.
@@ -53,7 +54,8 @@ the changed pixels are dilated by the one-pixel gradient receptive field
 into a dirty rectangle, and only that rectangle's per-pixel fields - plus
 the cell-grid cells whose ``cell_size``-square receptive fields intersect
 it - are recomputed and patched into the cached entry, which is then
-re-keyed to the new frame.  Because the extraction stages draw
+re-keyed to the new frame (its stored query sets are dropped and
+re-assemble on the next scan).  Because the extraction stages draw
 position-keyed noise, the patched entry is *bitwise identical* to a full
 re-extraction of the new frame on both backends - the property the
 streaming equivalence tests pin down.  The cache and counters are guarded by a lock and
@@ -147,10 +149,6 @@ class _PackedFields:
         """(H, W) of the underlying image."""
         return self.bins.shape
 
-    def nbytes(self):
-        """True packed footprint of the cached fields."""
-        return int(self.mag_packed.nbytes + self.bins.nbytes)
-
     def dense(self):
         """Exact dense reconstruction (transient, never cached)."""
         return HDHOGFields(unpack_bits(self.mag_packed, self.dim), self.bins)
@@ -170,80 +168,74 @@ class _PackedGrid:
         self.packed = packed
         self.counts = counts
 
-    def nbytes(self):
-        return int(self.packed.nbytes + self.counts.nbytes)
+
+def _buffers(payload):
+    """The long-lived buffers of a cached payload (any tier, either backend).
+
+    The first buffer holds the hypervector words - what
+    :meth:`SharedFeatureEngine.corrupt_cache` flips; a stored query set is
+    a single array.
+    """
+    if isinstance(payload, np.ndarray):
+        return (payload,)
+    if isinstance(payload, _PackedFields):
+        return (payload.mag_packed, payload.bins)
+    if isinstance(payload, HDHOGFields):
+        return (payload.mag, payload.bins)
+    if isinstance(payload, _PackedGrid):
+        return (payload.packed, payload.counts)
+    return (payload.bundles, payload.counts)
 
 
-def _fields_arrays(fields):
-    """The long-lived buffers of a fields payload (either backend)."""
-    if isinstance(fields, _PackedFields):
-        return (fields.mag_packed, fields.bins)
-    return (fields.mag, fields.bins)
-
-
-def _grid_arrays(grid):
-    """The long-lived buffers of a cached cell grid (either backend)."""
-    if isinstance(grid, _PackedGrid):
-        return (grid.packed, grid.counts)
-    return (grid.bundles, grid.counts)
-
-
-def _fields_digest(fields):
-    """Content digest of a cache entry's fields payload (either backend)."""
-    return digest_arrays(*_fields_arrays(fields))
-
-
-def _grid_digest(grid):
-    """Content digest of a cached cell grid (either backend)."""
-    return digest_arrays(*_grid_arrays(grid))
-
-
-def _fields_parity(fields):
-    """SEC-DED parity sidecars for a fields payload (one per buffer)."""
-    return tuple(ecc_encode_array(a) for a in _fields_arrays(fields))
-
-
-def _grid_parity(grid):
-    """SEC-DED parity sidecars for a cached cell grid (one per buffer)."""
-    return tuple(ecc_encode_array(a) for a in _grid_arrays(grid))
+def _seal(payload):
+    """Insert-time content digest plus one SEC-DED parity sidecar per buffer."""
+    bufs = _buffers(payload)
+    return digest_arrays(*bufs), tuple(ecc_encode_array(a) for a in bufs)
 
 
 class _CacheEntry:
-    """Fields for one scene plus the cell grids already derived from them.
+    """Fields for one scene plus the payloads derived from them.
 
-    When the owning engine scrubs, ``fields_digest`` / ``grid_digests``
-    hold the content digests taken at insert time and ``fields_parity`` /
-    ``grid_parities`` the SEC-DED parity sidecars over the same buffers.
-    A digest mismatch on a later hit means the cached words were corrupted
+    ``grids`` maps an anchor union to its cell grid; ``queries`` maps
+    ``(origins, window, word range, anchors)`` to the query set assembled
+    from those grids, so a rescan of unchanged content skips assembly.
+    When the owning engine scrubs, ``fields_seal`` / ``grid_seals`` /
+    ``query_seals`` hold each payload's insert-time digest and SEC-DED
+    parity (see :func:`_seal`); they are None on an unsealed entry.  A
+    digest mismatch on a later hit means the cached words were corrupted
     in memory; the engine then tries an ECC correction in place (one byte
     of parity per ``uint64`` word corrects any single-bit error) and only
-    falls back to a full recompute when the digest still disagrees.
+    falls back to a recompute when the digest still disagrees.
     """
 
-    __slots__ = ("fields", "grids", "fields_digest", "grid_digests",
-                 "fields_parity", "grid_parities")
+    __slots__ = ("fields", "grids", "queries", "fields_seal", "grid_seals",
+                 "query_seals")
 
-    def __init__(self, fields, digest=None, parity=None):
+    def __init__(self, fields, sealed=False):
         self.fields = fields
         self.grids = {}
-        self.fields_digest = digest
-        self.grid_digests = {}
-        self.fields_parity = parity
-        self.grid_parities = {}
+        self.fields_seal = _seal(fields) if sealed else None
+        self.grid_seals = {} if sealed else None
+        self.drop_queries()
+
+    def drop_queries(self):
+        """Forget the stored query sets (their content is about to change).
+
+        Fresh dicts rather than ``clear()``: an assembly still in flight
+        on the old content stores into the orphaned ones.
+        """
+        self.queries = {}
+        self.query_seals = None if self.grid_seals is None else {}
 
     def nbytes(self):
         """True byte footprint of the entry, whatever the backend stores."""
-        total = self.fields.nbytes()
-        for grid in self.grids.values():
-            if isinstance(grid, _PackedGrid):
-                total += grid.nbytes()
-            else:
-                total += int(grid.bundles.nbytes + grid.counts.nbytes)
-        if self.fields_parity is not None:
-            total += sum(int(p.nbytes) for p in self.fields_parity)
-        for parity in self.grid_parities.values():
-            total += sum(int(p.nbytes) for p in parity)
-        return total
+        payloads = [self.fields, *self.grids.values(), *self.queries.values()]
+        total = sum(a.nbytes for p in payloads for a in _buffers(p))
+        if self.fields_seal is not None:
+            seals = [self.fields_seal, *self.grid_seals.values(),
+                     *self.query_seals.values()]
+            total += sum(a.nbytes for _, parity in seals for a in parity)
+        return int(total)
 
 
 class SharedFeatureEngine:
@@ -271,9 +263,10 @@ class SharedFeatureEngine:
         per-pixel stages release the GIL inside NumPy).  1 = serial.
         Results are bitwise independent of the worker count.
     scrub:
-        When True, every cache entry carries a content digest *and* a
-        SEC-DED parity sidecar taken at insert time; the digest is
-        re-checked on every hit.  A mismatch (memory corruption, see
+        When True, every cached buffer (fields, cell grids and stored
+        query sets) carries a content digest *and* a SEC-DED parity
+        sidecar taken at insert time; the digest is re-checked on every
+        hit.  A mismatch (memory corruption, see
         :meth:`corrupt_cache`) walks a repair ladder: ECC-correct the
         buffers in place (any single-bit error per 64-bit word, digest-
         verified), else recompute the entry - corrupt features are never
@@ -355,22 +348,12 @@ class SharedFeatureEngine:
         while True:
             with self._lock:
                 entry = self._cache.get(key)
-                if entry is not None and self.scrub:
-                    self.scrub_checks += 1
-                    if _fields_digest(entry.fields) != entry.fields_digest:
-                        # corrupt cached fields: ECC-repair in place if the
-                        # damage is within SEC-DED reach, else recompute -
-                        # either way, never serve corrupt features
-                        self.scrub_mismatches += 1
-                        if self._try_ecc(_fields_arrays(entry.fields),
-                                         entry.fields_parity,
-                                         entry.fields_digest, _fields_digest,
-                                         entry.fields):
-                            self.scrub_repairs += 1
-                        else:
-                            del self._cache[key]
-                            self.scrub_evictions += 1
-                            entry = None
+                if entry is not None and self.scrub and \
+                        not self._verified(entry.fields, entry.fields_seal):
+                    # corrupt cached fields beyond SEC-DED reach: recompute,
+                    # never serve corrupt features
+                    del self._cache[key]
+                    entry = None
                 if entry is not None:
                     self.hits += 1
                     self._cache.move_to_end(key)
@@ -387,13 +370,11 @@ class SharedFeatureEngine:
             fields = self._extract_fields(scene)
             if self.backend == "packed":
                 fields = _PackedFields(fields, self.extractor.dim)
-            digest = _fields_digest(fields) if self.scrub else None
-            parity = _fields_parity(fields) if self.scrub else None
+            fresh = _CacheEntry(fields, sealed=self.scrub)
             with self._lock:
                 entry = self._cache.get(key)
                 if entry is None:
-                    entry = _CacheEntry(fields, digest, parity)
-                    self._cache[key] = entry
+                    entry = self._cache[key] = fresh
                     while len(self._cache) > self.cache_size:
                         self._cache.popitem(last=False)
                         self.evictions += 1
@@ -466,81 +447,88 @@ class SharedFeatureEngine:
         with self._lock:
             return sum(e.nbytes() for e in self._cache.values())
 
-    def _try_ecc(self, arrays, parity, golden, digest_fn, container):
-        """ECC-correct ``arrays`` in place; True when the digest is clean.
+    def _verified(self, payload, seal):
+        """Digest-check ``payload``; True when it is clean or ECC-repaired.
 
-        ``parity`` is the insert-time sidecar tuple (None when the entry
-        predates scrubbing), ``golden`` the insert-time digest the repaired
-        ``container`` must hash back to - a miscorrection (3+ flipped bits
-        aliasing to a valid-looking syndrome) therefore cannot pass as a
-        repair.  Caller holds the lock.
+        On a mismatch the buffers are SEC-DED-corrected in place against
+        the parity in ``seal`` (see :func:`_seal`) and must then hash back
+        to the insert-time digest, so a miscorrection (3+ flipped bits
+        aliasing to a valid-looking syndrome) cannot pass as a repair.
+        Counts every outcome; on False the payload is counted as evicted
+        and the caller must drop it.  Caller holds the lock.
         """
-        if parity is None:
-            return False
-        for arr, par in zip(arrays, parity):
+        digest, parity = seal
+        bufs = _buffers(payload)
+        self.scrub_checks += 1
+        if digest_arrays(*bufs) == digest:
+            return True
+        self.scrub_mismatches += 1
+        for arr, par in zip(bufs, parity):
             corrected, detected = ecc_correct_array(arr, par)
             self.ecc_corrected_words += corrected
             self.ecc_detected_words += detected
-        return digest_fn(container) == golden
+        if digest_arrays(*bufs) == digest:
+            self.scrub_repairs += 1
+            return True
+        self.scrub_evictions += 1
+        return False
+
+    def _lookup(self, store, seals, key):
+        """``store[key]``, verified first when ``seals`` is kept; or None.
+
+        A payload beyond ECC repair is dropped with its seal, so the
+        caller recomputes it.  Caller holds the lock.
+        """
+        payload = store.get(key)
+        if payload is not None and seals is not None and \
+                not self._verified(payload, seals[key]):
+            del store[key], seals[key]
+            return None
+        return payload
+
+    def _insert(self, store, seals, key, payload):
+        """Store ``payload`` (sealed when ``seals`` is kept) unless another
+        thread already did; returns the stored one.  Caller holds the lock.
+        """
+        stored = store.setdefault(key, payload)
+        if stored is payload and seals is not None:
+            seals[key] = _seal(payload)
+        return stored
+
+    def _sweep(self, store, seals):
+        """Verify every payload of one derived tier, dropping the bad."""
+        for key in list(store):
+            self._lookup(store, seals, key)
+
+    def _scrub_counts(self):
+        return (self.scrub_checks, self.scrub_mismatches, self.scrub_repairs,
+                self.scrub_evictions)
 
     def scrub_cache(self):
         """Background sweep: verify and repair every cached buffer now.
 
         The push half of cache scrubbing (the hit-time check is the pull
-        half): digest-checks every cached fields payload and derived grid
-        without waiting for an access, ECC-corrects mismatches in place,
-        and evicts what SEC-DED cannot bring back (a later access then
-        recomputes it - recompute-as-repair).  Called by
-        :class:`repro.reliability.scrubber.MemoryScrubber` under its byte
-        budget.  Returns the sweep report.
+        half): digest-checks every cached fields payload, derived grid and
+        stored query set without waiting for an access, ECC-corrects
+        mismatches in place, and evicts what SEC-DED cannot bring back (a
+        later access then recomputes it - recompute-as-repair).  Called
+        by :class:`repro.reliability.scrubber.MemoryScrubber` under its
+        byte budget.  Returns the sweep report.
         """
-        checked = mismatches = repaired = evicted = 0
-        swept = 0
         with self._lock:
+            swept = sum(e.nbytes() for e in self._cache.values())
+            before = self._scrub_counts()
             if self.scrub:
-                for key in list(self._cache.keys()):
-                    entry = self._cache[key]
-                    swept += entry.nbytes()
-                    checked += 1
-                    self.scrub_checks += 1
-                    if _fields_digest(entry.fields) != entry.fields_digest:
-                        mismatches += 1
-                        self.scrub_mismatches += 1
-                        if self._try_ecc(_fields_arrays(entry.fields),
-                                         entry.fields_parity,
-                                         entry.fields_digest, _fields_digest,
-                                         entry.fields):
-                            repaired += 1
-                            self.scrub_repairs += 1
-                        else:
-                            # fields beyond ECC reach: the derived grids are
-                            # suspect too, drop the whole entry
-                            del self._cache[key]
-                            evicted += 1
-                            self.scrub_evictions += 1
-                            continue
-                    for gkey in list(entry.grids.keys()):
-                        grid = entry.grids[gkey]
-                        checked += 1
-                        self.scrub_checks += 1
-                        if _grid_digest(grid) == entry.grid_digests.get(gkey):
-                            continue
-                        mismatches += 1
-                        self.scrub_mismatches += 1
-                        if self._try_ecc(_grid_arrays(grid),
-                                         entry.grid_parities.get(gkey),
-                                         entry.grid_digests.get(gkey),
-                                         _grid_digest, grid):
-                            repaired += 1
-                            self.scrub_repairs += 1
-                        else:
-                            del entry.grids[gkey]
-                            entry.grid_digests.pop(gkey, None)
-                            entry.grid_parities.pop(gkey, None)
-                            evicted += 1
-                            self.scrub_evictions += 1
-            else:
-                swept = sum(e.nbytes() for e in self._cache.values())
+                for key, entry in list(self._cache.items()):
+                    if not self._verified(entry.fields, entry.fields_seal):
+                        # fields beyond ECC reach: everything derived from
+                        # them is suspect too, drop the whole entry
+                        del self._cache[key]
+                        continue
+                    self._sweep(entry.grids, entry.grid_seals)
+                    self._sweep(entry.queries, entry.query_seals)
+            checked, mismatches, repaired, evicted = (
+                now - then for now, then in zip(self._scrub_counts(), before))
         return {"checked": checked, "mismatches": mismatches,
                 "repaired": repaired, "evicted": evicted, "bytes": swept}
 
@@ -553,13 +541,13 @@ class SharedFeatureEngine:
         """Flip stored bits of every cached buffer in place (fault surface).
 
         Models memory corruption of the resident scene cache: each real
-        bit of every cached fields tensor and cell grid flips
-        independently with ``rate`` (packed entries via
+        bit of every cached fields tensor, cell grid and stored query set
+        flips independently with ``rate`` (packed entries via
         :func:`repro.reliability.faults.flip_packed_words`, which never
         touches pad bits; dense entries via sign flips on the bipolar
-        magnitude field and negation of histogram counters, matching
-        :func:`repro.noise.bitflip.flip_bipolar` conventions).  Digests
-        and ECC parity taken at insert time are deliberately *not*
+        magnitude field and negation of histogram counters and query
+        components, matching :func:`repro.noise.bitflip.flip_bipolar`
+        conventions).  Seals taken at insert time are deliberately *not*
         refreshed, so a scrubbing engine detects the corruption on the
         next hit (or :meth:`scrub_cache` sweep) and repairs it, while a
         non-scrubbing engine serves it.  Returns the number of corrupted
@@ -572,21 +560,19 @@ class SharedFeatureEngine:
         corrupted = 0
         with self._lock:
             for entry in self._cache.values():
-                fields = entry.fields
-                if isinstance(fields, _PackedFields):
-                    fields.mag_packed[...] = flip_packed_words(
-                        fields.mag_packed, dim, rate, rng)
-                else:
-                    fields.mag[...] = flip_bipolar(fields.mag, rate, rng)
-                corrupted += 1
-                for grid in entry.grids.values():
-                    if isinstance(grid, _PackedGrid):
-                        grid.packed[...] = flip_packed_words(
-                            grid.packed, dim, rate, rng)
+                targets = [(p, dim) for p in (entry.fields,
+                                              *entry.grids.values())]
+                # a stored word-prefix block holds only its block's bits
+                targets += [(q, dim if qkey[2] is None
+                             else block_dim(dim, *qkey[2]))
+                            for qkey, q in entry.queries.items()]
+                for payload, bits in targets:
+                    arr = _buffers(payload)[0]
+                    if self.backend == "packed":
+                        arr[...] = flip_packed_words(arr, bits, rate, rng)
                     else:
-                        grid.bundles[...] = flip_bipolar(
-                            grid.bundles, rate, rng)
-                    corrupted += 1
+                        arr[...] = flip_bipolar(arr, rate, rng)
+                corrupted += len(targets)
         return corrupted
 
     # ------------------------------------------------------------------
@@ -642,72 +628,6 @@ class SharedFeatureEngine:
         )
         return mag, bins
 
-    def _verify_delta_base(self, entry, prev):
-        """Integrity-check a delta-reuse base entry; repair or reject it.
-
-        Corrupted fields are ECC-corrected in place or the entry is
-        dropped (None return = the caller takes the full-extraction
-        path); corrupted grids are ECC-corrected or individually evicted
-        (they recompute on demand).  Caller holds the lock.
-        """
-        self.scrub_checks += 1
-        if _fields_digest(entry.fields) != entry.fields_digest:
-            self.scrub_mismatches += 1
-            if self._try_ecc(_fields_arrays(entry.fields),
-                             entry.fields_parity, entry.fields_digest,
-                             _fields_digest, entry.fields):
-                self.scrub_repairs += 1
-            else:
-                self._cache.pop(scene_key(prev), None)
-                self.scrub_evictions += 1
-                return None
-        for gkey in list(entry.grids.keys()):
-            grid = entry.grids[gkey]
-            self.scrub_checks += 1
-            if _grid_digest(grid) == entry.grid_digests.get(gkey):
-                continue
-            self.scrub_mismatches += 1
-            if self._try_ecc(_grid_arrays(grid),
-                             entry.grid_parities.get(gkey),
-                             entry.grid_digests.get(gkey), _grid_digest,
-                             grid):
-                self.scrub_repairs += 1
-            else:
-                del entry.grids[gkey]
-                entry.grid_digests.pop(gkey, None)
-                entry.grid_parities.pop(gkey, None)
-                self.scrub_evictions += 1
-        return entry
-
-    @staticmethod
-    def _clone_entry(entry):
-        """Deep copy of a cache entry (the ``keep_prev`` delta path)."""
-        fields = entry.fields
-        if isinstance(fields, _PackedFields):
-            clone_fields = _PackedFields.__new__(_PackedFields)
-            clone_fields.mag_packed = fields.mag_packed.copy()
-            clone_fields.bins = fields.bins.copy()
-            clone_fields.dim = fields.dim
-        else:
-            clone_fields = HDHOGFields(fields.mag.copy(), fields.bins.copy())
-        clone = _CacheEntry(clone_fields, entry.fields_digest)
-        for gkey, grid in entry.grids.items():
-            if isinstance(grid, _PackedGrid):
-                clone.grids[gkey] = _PackedGrid(grid.packed.copy(),
-                                                grid.counts.copy())
-            else:
-                clone.grids[gkey] = HDHOGResult(grid.bundles.copy(),
-                                                grid.counts.copy(),
-                                                grid.cell_pixels)
-        clone.grid_digests = dict(entry.grid_digests)
-        if entry.fields_parity is not None:
-            clone.fields_parity = tuple(p.copy()
-                                        for p in entry.fields_parity)
-        clone.grid_parities = {
-            gkey: tuple(p.copy() for p in parity)
-            for gkey, parity in entry.grid_parities.items()}
-        return clone
-
     def _patch_grids(self, entry, y0, y1, x0, x1):
         """Recompute the cached grids' cells overlapping the dirty rect.
 
@@ -752,13 +672,11 @@ class SharedFeatureEngine:
                 bit=ext.n_bins * px_d, int_add=2 * ext.n_bins * px_d,
                 mem_bytes=ext.n_bins * px_d / 4,
             )
-            if self.scrub:
-                entry.grid_digests[gkey] = _grid_digest(grid)
-                entry.grid_parities[gkey] = _grid_parity(grid)
+            if entry.grid_seals is not None:
+                entry.grid_seals[gkey] = _seal(grid)
         return total, dirty
 
-    def delta_update(self, prev_scene, scene, keep_prev=False,
-                     full_fraction=0.85):
+    def delta_update(self, prev_scene, scene, full_fraction=0.85):
         """Re-key ``prev_scene``'s cached entry to ``scene``, patching deltas.
 
         The streaming fast path: instead of extracting ``scene`` from
@@ -769,17 +687,14 @@ class SharedFeatureEngine:
         key.  A subsequent ``window_queries(scene, ...)`` then hits the
         cache - with results *bitwise identical* to a cold full
         re-extraction, on both backends, because the stochastic stages
-        draw position-keyed noise.
+        draw position-keyed noise.  The previous frame's entry is *moved*,
+        not copied: it leaves the cache as the patch claims it, and its
+        stored query sets are dropped (they re-assemble on the next scan).
 
         Parameters
         ----------
         prev_scene, scene:
             The previous and the incoming frame (same shape).
-        keep_prev:
-            When False (default) the previous frame's entry is *moved*:
-            patched in place and removed from the cache, which is the
-            single-consumer video regime.  True deep-copies the entry so
-            the previous frame stays cached (costs one fields-size copy).
         full_fraction:
             When the dirty rectangle covers at least this fraction of the
             frame, fall back to the strip-parallel full extraction pass
@@ -827,13 +742,21 @@ class SharedFeatureEngine:
             waiter.wait()
         try:
             with self._lock:
-                entry = self._cache.get(scene_key(prev))
+                # claim the base in the same lock hold that finds it: two
+                # streams leaving one frame for different frames must not
+                # both patch the same entry object
+                entry = self._cache.pop(scene_key(prev), None)
+                if entry is not None:
+                    entry.drop_queries()
                 if entry is not None and self.scrub:
-                    # the delta path *refreshes* digests after patching, so
+                    # the delta path *refreshes* seals after patching, so
                     # reusing a corrupted base would launder the corruption
                     # into the new frame's golden digest - verify (and
                     # repair) the base before trusting it
-                    entry = self._verify_delta_base(entry, prev)
+                    if self._verified(entry.fields, entry.fields_seal):
+                        self._sweep(entry.grids, entry.grid_seals)
+                    else:
+                        entry = None
             rect = None if entry is None else self._dirty_rect(prev, new)
             if rect is not None:
                 y0, y1, x0, x1, n_changed = rect
@@ -845,19 +768,11 @@ class SharedFeatureEngine:
                     (y1 - y0) * (x1 - x0) >= full_fraction * new.size:
                 # cold start (no cached base) or near-whole-frame change:
                 # the plain extraction path beats patching
-                if entry is not None and not keep_prev:
-                    with self._lock:
-                        self._cache.pop(scene_key(prev), None)
                 self._entry(new)
                 with self._lock:
                     self.delta_full += 1
                 stats["mode"] = "full"
                 return stats
-            if keep_prev:
-                entry = self._clone_entry(entry)
-            else:
-                with self._lock:
-                    self._cache.pop(scene_key(prev), None)
             mag, bins = self._region_fields(new, y0, y1, x0, x1)
             fields = entry.fields
             if isinstance(fields, _PackedFields):
@@ -867,9 +782,8 @@ class SharedFeatureEngine:
             fields.bins[y0:y1, x0:x1] = bins
             stats["cells"], stats["dirty_cells"] = \
                 self._patch_grids(entry, y0, y1, x0, x1)
-            if self.scrub:
-                entry.fields_digest = _fields_digest(fields)
-                entry.fields_parity = _fields_parity(fields)
+            if entry.fields_seal is not None:
+                entry.fields_seal = _seal(fields)
             with self._lock:
                 self._cache.setdefault(new_key, entry)
                 self._cache.move_to_end(new_key)
@@ -912,50 +826,27 @@ class SharedFeatureEngine:
         )
         return grid
 
-    def _grid(self, entry_fields, grids, ys, xs, digests=None,
-              parities=None):
+    def _grid(self, entry, ys, xs):
         """Cell grid at the anchor union (cached per scene entry).
 
         For the packed backend the dense box-filter result is
         sign-quantized and packed before it enters the cache; the dense
-        intermediates are transient.  ``digests`` / ``parities`` - the
-        owning entry's grid-digest and parity stores when scrubbing - are
-        checked on every cached-grid hit; a mismatch is ECC-corrected in
-        place when possible, else the grid is recomputed from the (itself
-        digest-checked) cached fields.
+        intermediates are transient.  On a sealed entry a cached grid is
+        verified on every hit: ECC-corrected in place when possible, else
+        recomputed from the (itself verified) cached fields.
         """
         gkey = (ys.tobytes(), xs.tobytes())
         with self._lock:
-            grid = grids.get(gkey)
-            if grid is not None and self.scrub and digests is not None:
-                self.scrub_checks += 1
-                if _grid_digest(grid) != digests.get(gkey):
-                    self.scrub_mismatches += 1
-                    if self._try_ecc(
-                            _grid_arrays(grid),
-                            None if parities is None else parities.get(gkey),
-                            digests.get(gkey), _grid_digest, grid):
-                        self.scrub_repairs += 1
-                    else:
-                        del grids[gkey]
-                        if parities is not None:
-                            parities.pop(gkey, None)
-                        self.scrub_evictions += 1
-                        grid = None
+            grid = self._lookup(entry.grids, entry.grid_seals, gkey)
         if grid is not None:
             return grid
-        if isinstance(entry_fields, _PackedFields):
-            dense_grid = self._dense_grid(entry_fields.dense(), ys, xs)
-            grid = self._pack_grid(dense_grid)
+        if isinstance(entry.fields, _PackedFields):
+            grid = self._pack_grid(
+                self._dense_grid(entry.fields.dense(), ys, xs))
         else:
-            grid = self._dense_grid(entry_fields, ys, xs)
+            grid = self._dense_grid(entry.fields, ys, xs)
         with self._lock:
-            stored = grids.setdefault(gkey, grid)
-            if stored is grid and self.scrub and digests is not None:
-                digests[gkey] = _grid_digest(grid)
-                if parities is not None:
-                    parities[gkey] = _grid_parity(grid)
-            return stored
+            return self._insert(entry.grids, entry.grid_seals, gkey, grid)
 
     def _pack_grid(self, dense_grid):
         """Sign-quantize (``0 -> +1``) and bit-pack a dense cell grid."""
@@ -985,9 +876,12 @@ class SharedFeatureEngine:
         non-empty bins, entirely in the packed domain.  Classify them with
         :class:`repro.core.packed.PackedClassModel`.
 
-        ``injector`` (fault-injection hook) bypasses the cache: corrupted
-        fields are computed fresh and never stored, so later clean scans of
-        the same scene are unaffected.
+        The assembled set is kept in the scene's cache entry, so the next
+        call for the same content and windows skips assembly; callers get
+        a read-only view of it.  ``injector`` (fault-injection hook)
+        bypasses the cache: corrupted fields and queries are computed
+        fresh and never stored, so later clean scans of the same scene are
+        unaffected.
         """
         return self._queries(scene, origins, window, injector, None)
 
@@ -1005,8 +899,9 @@ class SharedFeatureEngine:
         the prefix's fraction of the full bind+majority work, which is
         what makes stage-1 cascade rejection cheap.
 
-        Work is recorded under the profiler stage ``assemble_prefix``
-        (not ``assemble``) and counted in :meth:`cache_info` under
+        Blocks are stored like full query sets.  Assembly that runs is
+        recorded under the profiler stage ``assemble_prefix`` (not
+        ``assemble``) and counted in :meth:`cache_info` under
         ``prefix_assembles`` / ``prefix_windows`` / ``prefix_words``, so
         cascade reuse stays attributable in benchmarks.
 
@@ -1025,43 +920,61 @@ class SharedFeatureEngine:
         return self._queries(scene, origins, window, injector, (w0, w1),
                              anchors)
 
-    def _prepare(self, scene, origins, window, injector, anchors=None):
-        """Validate inputs and resolve the cell grid one assembly needs.
+    def _scan_entry(self, scene, origins, injector):
+        """Validated ``origins`` and the cache entry a scan reads.
 
-        Returns ``(grid, origins, ys, xs, n)``: the cached (or injector-
-        fresh) cell grid at the anchor union plus the normalized origins.
-        Shared by the query assembly paths and :meth:`window_gather`.
+        ``injector`` scans get a transient, unsealed entry over freshly
+        extracted (faulty) fields that is never cached.
         """
-        window = int(window)
         scene = validate_scene(scene)
         origins = [(int(y), int(x)) for y, x in origins]
         if not origins:
             raise ValueError("need at least one window origin")
         if injector is None:
-            entry = self._entry(scene)
-            fields, grids = entry.fields, entry.grids
-            digests, parities = entry.grid_digests, entry.grid_parities
-        else:
-            fields, grids = self._extract_fields(scene, injector), {}
-            digests = parities = None
-            if self.backend == "packed":
-                fields = _PackedFields(fields, self.extractor.dim)
+            return self._entry(scene), origins
+        fields = self._extract_fields(scene, injector)
+        if self.backend == "packed":
+            fields = _PackedFields(fields, self.extractor.dim)
+        return _CacheEntry(fields), origins
+
+    def _scan_grid(self, entry, origins, window, anchors):
+        """``(grid, ys, xs, n)``: the cell grid at the anchor union."""
         if anchors is None:
             ys, xs, n = self._anchors(origins, window)
         else:
             ys, xs = (np.asarray(a, dtype=np.int64) for a in anchors)
             n = window // self.extractor.cell_size
-        grid = self._grid(fields, grids, ys, xs, digests, parities)
-        return grid, origins, ys, xs, n
+        return self._grid(entry, ys, xs), ys, xs, n
 
     def _queries(self, scene, origins, window, injector, word_range,
                  anchors=None):
-        grid, origins, ys, xs, n = self._prepare(scene, origins, window,
-                                                 injector, anchors)
-        if self.backend == "packed":
-            return self._assemble_packed(grid, origins, ys, xs, n, injector,
-                                         word_range)
-        return self._assemble_dense(grid, origins, ys, xs, n, injector)
+        """Stored query set for these windows, assembling it on a miss."""
+        window = int(window)
+        entry, origins = self._scan_entry(scene, origins, injector)
+        qkey = (np.asarray(origins, dtype=np.int64).tobytes(), window,
+                word_range, None if anchors is None else tuple(
+                    np.asarray(a, dtype=np.int64).tobytes() for a in anchors))
+        with self._lock:
+            # captured before assembly: a delta patch swaps in fresh
+            # stores, so a set assembled from the old content lands in the
+            # orphaned ones
+            store, seals = entry.queries, entry.query_seals
+            queries = self._lookup(store, seals, qkey)
+        if queries is None:
+            grid, ys, xs, n = self._scan_grid(entry, origins, window,
+                                              anchors)
+            if self.backend == "packed":
+                queries = self._assemble_packed(grid, origins, ys, xs, n,
+                                                injector, word_range)
+            else:
+                queries = self._assemble_dense(grid, origins, ys, xs, n,
+                                               injector)
+            with self._lock:
+                queries = self._insert(store, seals, qkey, queries)
+        # the engine keeps the writable base for ECC repair and faults
+        view = queries.view()
+        view.flags.writeable = False
+        return view
 
     def window_gather(self, scene, origins, window, word_start=None,
                       word_stop=None, injector=None, anchors=None):
@@ -1092,8 +1005,9 @@ class SharedFeatureEngine:
         w0 = 0 if word_start is None else int(word_start)
         w1 = packed_words(dim) if word_stop is None else int(word_stop)
         block_dim(dim, w0, w1)  # validates the range
-        grid, origins, ys, xs, n = self._prepare(scene, origins, window,
-                                                 injector, anchors)
+        entry, origins = self._scan_entry(scene, origins, injector)
+        grid, ys, xs, n = self._scan_grid(entry, origins, int(window),
+                                          anchors)
         with self.profiler.stage("gather"):
             flat, valid = self._gather_packed(grid, origins, ys, xs, n,
                                               injector, w0, w1)

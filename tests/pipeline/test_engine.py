@@ -174,6 +174,29 @@ class TestCache:
         assert det.engine.hits == n_levels
 
 
+@pytest.mark.parametrize("backend", ["dense", "packed"])
+class TestQueryStore:
+    def test_pyramid_rescan_skips_assembly(self, face_pipe, backend):
+        scene, _ = make_scene(56, [(16, 16)], window=24, seed_or_rng=2)
+        prof = Profiler()
+        det = SlidingWindowDetector(face_pipe, window=24, stride=12,
+                                    backend=backend, profiler=prof)
+        pyr = PyramidDetector(det, scale_step=1.5)
+        first = pyr.detect(scene)
+        items = prof.stats["assemble"].items
+        assert items > 0
+        assert pyr.detect(scene) == first
+        assert prof.stats["assemble"].items == items
+
+    def test_returned_queries_are_read_only(self, extractor, scene,
+                                            backend):
+        engine = SharedFeatureEngine(extractor, backend=backend)
+        for _ in range(2):  # the assembling call, then the stored hit
+            queries = engine.window_queries(scene, [(0, 0), (8, 8)], 24)
+            with pytest.raises(ValueError):
+                queries[0, 0] = 0
+
+
 class TestDetectorEngines:
     def test_shared_and_perwindow_scores_bitwise_equal(self, face_pipe):
         scene, _ = make_scene(48, [(12, 12)], window=24, seed_or_rng=4)

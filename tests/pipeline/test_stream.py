@@ -7,6 +7,7 @@ frame, on both backends, for any dirty region - empty, partial or the
 whole frame.
 """
 
+import threading
 import time
 
 import numpy as np
@@ -108,17 +109,50 @@ class TestDeltaEquivalence:
         ref = SharedFeatureEngine(extractor, backend=backend)
         assert np.array_equal(_queries(eng, scene), _queries(ref, scene))
 
-    def test_keep_prev_leaves_old_entry_intact(self, extractor):
-        rng = np.random.default_rng(7)
-        prev = rng.random((SIZE, SIZE))
-        scene = prev.copy()
-        scene[10:20, 10:20] = 0.0
-        eng = SharedFeatureEngine(extractor, cache_size=4)
-        before = _queries(eng, prev).copy()
-        eng.delta_update(prev, scene, keep_prev=True)
-        assert np.array_equal(_queries(eng, prev), before)
-        ref = SharedFeatureEngine(extractor)
-        assert np.array_equal(_queries(eng, scene), _queries(ref, scene))
+    def test_racing_deltas_from_one_base_patch_it_once(self):
+        # two streams sharing one engine leave the same cached frame for
+        # different frames: one must claim the base and patch it, the
+        # other must re-extract - never both patch one entry object
+        ext = HDHOGExtractor(dim=256, cell_size=8, magnitude="l1",
+                             seed_or_rng=0)
+        rng = np.random.default_rng(12)
+        prev = rng.random((48, 48))
+        frames = [prev.copy(), prev.copy()]
+        frames[0][4:12, 4:12] = 0.0
+        frames[1][30:40, 28:44] = 1.0
+        origins = [(y, x) for y in range(0, 33, 8) for x in range(0, 33, 8)]
+        eng = SharedFeatureEngine(ext, backend="packed")
+        eng.window_queries(prev, origins, 16)
+        barrier = threading.Barrier(2)
+
+        def dirty_rect(prev_frame, frame, pad=1):
+            # hold every thread that got a base here until the other one
+            # arrives or finishes, so both would patch one shared entry
+            try:
+                barrier.wait(timeout=30)
+            except threading.BrokenBarrierError:
+                pass
+            return SharedFeatureEngine._dirty_rect(prev_frame, frame, pad)
+
+        eng._dirty_rect = dirty_rect
+        stats = [None, None]
+
+        def run(k):
+            try:
+                stats[k] = eng.delta_update(prev, frames[k])
+            finally:
+                barrier.abort()
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert sorted(st["mode"] for st in stats) == ["full", "patched"]
+        for frame in frames:
+            ref = SharedFeatureEngine(ext, backend="packed")
+            assert np.array_equal(eng.window_queries(frame, origins, 16),
+                                  ref.window_queries(frame, origins, 16))
 
     def test_shape_mismatch_rejected(self, extractor):
         eng = SharedFeatureEngine(extractor)

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro.pipeline.detector import SlidingWindowDetector, make_scene
-from repro.pipeline.engine import _fields_arrays
+from repro.pipeline.engine import _buffers
 from repro.pipeline.hdface import HDFacePipeline
+from repro.profiling import Profiler
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ class TestCacheScrubber:
 def flip_one_cached_bit(engine):
     """Flip a single stored bit of the first cached fields buffer."""
     entry = next(iter(engine._cache.values()))
-    first = _fields_arrays(entry.fields)[0]
+    first = _buffers(entry.fields)[0]
     first.reshape(-1).view(np.uint8)[0] ^= np.uint8(1)
 
 
@@ -113,6 +114,42 @@ class TestRepairInPlace:
         report = det.engine.scrub_cache()
         assert report["mismatches"] >= 1
         assert np.array_equal(det.scan(scene).scores, clean)
+
+
+@pytest.mark.parametrize("backend", ["dense", "packed"])
+class TestStoredQuerySets:
+    """Stored query sets are cached memory like fields and grids: a
+    scrubbed hit verifies them, then ECC-repairs them in place or drops
+    them for re-assembly."""
+
+    def scanned(self, face_pipe, scene, backend):
+        prof = Profiler()
+        det = SlidingWindowDetector(face_pipe, window=24, stride=8,
+                                    backend=backend, scrub=True,
+                                    profiler=prof)
+        clean = det.scan(scene).scores
+        (stored,) = [q for entry in det.engine._cache.values()
+                     for q in entry.queries.values()]
+        return det, prof, clean, stored.reshape(-1).view(np.uint8)
+
+    def test_single_bit_flip_repaired_without_reassembly(self, face_pipe,
+                                                         scene, backend):
+        det, prof, clean, raw = self.scanned(face_pipe, scene, backend)
+        repairs = det.engine.cache_info()["scrub_repairs"]
+        raw[0] ^= np.uint8(1)
+        assert np.array_equal(det.scan(scene).scores, clean)
+        info = det.engine.cache_info()
+        assert info["scrub_repairs"] == repairs + 1
+        assert info["scrub_evictions"] == 0
+        assert prof.stats["assemble"].calls == 1  # the first scan only
+
+    def test_corruption_beyond_ecc_reassembles(self, face_pipe, scene,
+                                               backend):
+        det, prof, clean, raw = self.scanned(face_pipe, scene, backend)
+        raw ^= np.uint8(0xFF)
+        assert np.array_equal(det.scan(scene).scores, clean)
+        assert det.engine.cache_info()["scrub_evictions"] == 1
+        assert prof.stats["assemble"].calls == 2
 
 
 @pytest.mark.parametrize("backend", ["dense", "packed"])

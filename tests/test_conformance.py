@@ -1,9 +1,10 @@
 """Bitwise conformance matrix over every frame-scan route.
 
 The repo's central correctness bar: no matter how a frame is scanned -
-dense or packed backend, flat or cascade scan, full precision or
-frame-delta reuse or a truncated word prefix, solo or through the
-cross-stream batcher - the scores must be bitwise what the matching
+dense or packed backend, flat or cascade scan, full precision, a rescan
+served from the stored queries, frame-delta reuse or a truncated word
+prefix, solo or through the cross-stream batcher - the scores must be
+bitwise what the matching
 backend's reference flat solo scan produces, and the faces found must
 be identical to the reference flat dense scan's.  (Dense cosine and
 packed Hamming margins are sign-compatible on faces but flip on
@@ -38,7 +39,7 @@ TRUNC_WORDS = 4      # half-width prefix; fixture scenes keep detections
 
 BACKENDS = ("dense", "packed")
 SCANS = ("flat", "cascade")
-PRECISIONS = ("full", "delta", "truncated")
+PRECISIONS = ("full", "rescan", "delta", "truncated")
 EXECUTIONS = ("solo", "batched")
 
 
@@ -107,6 +108,10 @@ def refs(face_pipe, scene_pair):
 def run_route(pipe, backend, scan, precision, execution, scene, prev):
     det = make_detector(pipe, backend, cascade=(scan == "cascade"))
     max_words = TRUNC_WORDS if precision == "truncated" else None
+    if precision == "rescan":
+        # the first scan stores the assembled queries; the scan below is
+        # served from that store
+        det.scan(scene)
     if precision == "delta":
         # warm the engine on the previous frame, then patch toward the
         # current one - the scan below must hit the patched cache entry
