@@ -67,7 +67,7 @@ def fig6_scene():
 def post_repair_accuracy(guard, queries, labels):
     """Accuracy after corruption and one repair pass."""
     guard.corrupt_replica(0, 0.05, seed_or_rng=9)
-    guard.scrub(force=True)
+    guard.scrub()
     return float((guard.predict(queries) == labels).mean())
 
 

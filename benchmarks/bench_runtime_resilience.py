@@ -35,6 +35,7 @@ import pytest
 
 from common import SCALE, fmt_row, write_json, write_report
 
+from repro.core.packed import block_dim
 from repro.datasets import make_face_dataset
 from repro.datasets.synth import moving_face_sequence
 from repro.pipeline import HDFacePipeline, PyramidDetector, SlidingWindowDetector
@@ -164,17 +165,16 @@ def truncation_curve(pipe):
     words_grid = sorted({max(1, round(total * f))
                          for f in (0.125, 0.25, 0.375, 0.5, 0.75, 1.0)})
     for words in words_grid:
-        trunc = model.truncated(words)
-        pred = trunc.predict(queries)
+        pred = model.similarities(queries, words).argmax(axis=1)
         curve.append({
             "words": int(words),
-            "dim": int(trunc.dim),
+            "dim": block_dim(model.dim, 0, words),
             "fraction": words / total,
             "accuracy": float((pred == yte).mean()),
             "matches_full": bool((pred == full_pred).all()),
         })
     assert curve[-1]["matches_full"], (
-        "full-prefix truncated model must be bitwise-consistent with the "
+        "a full-width word prefix must be bitwise-consistent with the "
         "full-dimension model")
     return {"dim": DIM, "n_words": int(total),
             "full_accuracy": float((full_pred == yte).mean()),

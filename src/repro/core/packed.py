@@ -43,8 +43,8 @@ __all__ = [
     "pairwise_hamming",
     "packed_nearest",
     "block_dim",
+    "PackedScoring",
     "PackedClassModel",
-    "TruncatedClassModel",
 ]
 
 _ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
@@ -194,7 +194,80 @@ def packed_nearest(queries, model, dim=None):
     return distances.argmin(axis=1), distances
 
 
-class PackedClassModel:
+class PackedScoring:
+    """Hamming scoring against packed class rows: the one class-model protocol.
+
+    Plain, guarded and adapting class models share this implementation
+    (``n_words`` / ``distance_block`` / ``distances`` / ``similarities`` /
+    ``predict``).  A subclass sets ``dim`` and ``n_classes`` and supplies
+    :meth:`_rows`, the ``(n_classes, W)`` words one scoring call reads -
+    stored words, a scrub-checked replica, or a copy taken under a lock.
+
+    A word budget is a word range, not a model: information is spread
+    uniformly over the components of a holographic model, so the first
+    ``words`` words of every class row form a smaller model of their own
+    (the uHD runtime-scaling observation).  ``similarities(queries,
+    words)`` scores that prefix at ``words / W`` of the XOR + popcount
+    cost, normalised by the prefix's real component count; with ``words``
+    covering every word the result is bitwise the full-width score.
+    """
+
+    @property
+    def n_words(self):
+        """Packed words per class row (``ceil(dim / 64)``)."""
+        return packed_words(self.dim)
+
+    def _rows(self):
+        """The ``(n_classes, W)`` uint64 class rows this call scores against."""
+        raise NotImplementedError
+
+    def distance_block(self, packed_queries, word_start, word_stop):
+        """Partial Hamming distances over words ``[word_start, word_stop)``.
+
+        The one scoring primitive.  Because Hamming distance is a sum over
+        disjoint word blocks, the cascade scanner never recomputes the
+        distance already paid for on a narrow prefix when a window
+        escalates - the next stage scores only the *new* words and adds
+        the counts:
+
+        ``distances(q) == sum(distance_block(q, a, b) over a partition)``
+
+        ``packed_queries`` may carry the block's words alone (shape
+        ``(n, word_stop - word_start)``, as produced by the engine's
+        prefix assembly) or the full query width (the block is sliced
+        out).  Pad bits are masked when the block covers the final word.
+        """
+        w0, w1 = int(word_start), int(word_stop)
+        bdim = block_dim(self.dim, w0, w1)
+        q = np.atleast_2d(np.asarray(packed_queries, dtype=np.uint64))
+        if q.shape[-1] != w1 - w0:
+            q = q[:, w0:w1]
+        return pairwise_hamming(q, self._rows()[:, w0:w1], dim=bdim)
+
+    def distances(self, packed_queries):
+        """Hamming distance of each packed query to each class: ``(n, k)``."""
+        return self.distance_block(packed_queries, 0, self.n_words)
+
+    def similarities(self, packed_queries, words=None):
+        """Normalized similarities ``1 - 2 * hamming / n`` in ``[-1, 1]``.
+
+        ``n`` is the real component count of the scored words: ``D`` at
+        full width, ``block_dim(D, 0, words)`` on a ``words``-word prefix
+        (queries may be full width or pre-sliced to the prefix).  This is
+        exactly the dot product of the underlying bipolar vectors divided
+        by ``n``, so downstream margin logic written for cosine
+        similarities keeps its sign semantics.
+        """
+        w = self.n_words if words is None else int(words)
+        d = self.distance_block(packed_queries, 0, w)
+        return 1.0 - 2.0 * d / float(block_dim(self.dim, 0, w))
+
+    def predict(self, packed_queries):
+        """Label of the Hamming-nearest class per packed query."""
+        return self.distances(packed_queries).argmin(axis=1)
+
+
+class PackedClassModel(PackedScoring):
     """Sign-quantized, bit-packed class model for Hamming-argmin inference.
 
     The detection engine's packed backend classifies window queries against
@@ -202,7 +275,8 @@ class PackedClassModel:
     to :class:`repro.learning.binary_inference.BinaryHDCEngine` (sign
     quantization with ``0 -> +1``, Hamming argmin), just factored so the
     model can be built once and shared by batched callers that already
-    hold *packed* queries.
+    hold *packed* queries.  Scoring is the :class:`PackedScoring`
+    protocol over the stored words.
 
     Parameters
     ----------
@@ -247,122 +321,5 @@ class PackedClassModel:
                                          seed_or_rng)
         return clone
 
-    @property
-    def n_words(self):
-        """Packed words per class row (``ceil(dim / 64)``)."""
-        return packed_words(self.dim)
-
-    def truncated(self, words):
-        """A :class:`TruncatedClassModel` view scoring the first ``words`` words.
-
-        The holographic accuracy dial: information is spread uniformly over
-        the components, so any word-prefix of the model is itself a valid
-        (lower-dimensional) model and classification quality degrades
-        smoothly - not catastrophically - as the prefix shrinks.  With
-        ``words >= n_words`` the view is bitwise identical to the full
-        model.
-        """
-        return TruncatedClassModel(self, words)
-
-    def distances(self, packed_queries):
-        """Hamming distance of each packed query to each class: ``(n, k)``."""
-        return pairwise_hamming(packed_queries, self.packed, dim=self.dim)
-
-    def distance_block(self, packed_queries, word_start, word_stop):
-        """Partial Hamming distances over words ``[word_start, word_stop)``.
-
-        The cascade scanner's incremental rescoring kernel: because Hamming
-        distance is a sum over disjoint word blocks, the distance already
-        paid for on a narrow prefix never has to be recomputed when a
-        window escalates - the next stage scores only the *new* words and
-        adds the counts:
-
-        ``distances(q) == sum(distance_block(q, a, b) over a partition)``
-
-        ``packed_queries`` may carry the block's words alone (shape
-        ``(n, word_stop - word_start)``, as produced by the engine's
-        prefix assembly) or the full query width (the block is sliced
-        out).  Pad bits are masked when the block covers the final word.
-        """
-        w0, w1 = int(word_start), int(word_stop)
-        bdim = block_dim(self.dim, w0, w1)
-        q = np.atleast_2d(np.asarray(packed_queries, dtype=np.uint64))
-        if q.shape[-1] != w1 - w0:
-            q = q[:, w0:w1]
-        return pairwise_hamming(q, self.packed[:, w0:w1], dim=bdim)
-
-    def similarities(self, packed_queries):
-        """Normalized similarities ``1 - 2 * hamming / D`` in ``[-1, 1]``.
-
-        This is exactly the dot product of the underlying bipolar vectors
-        divided by ``D``, so downstream margin logic written for cosine
-        similarities keeps its sign semantics.
-        """
-        return 1.0 - 2.0 * self.distances(packed_queries) / float(self.dim)
-
-    def predict(self, packed_queries):
-        """Label of the Hamming-nearest class per packed query."""
-        return self.distances(packed_queries).argmin(axis=1)
-
-
-class TruncatedClassModel:
-    """Word-prefix view of a :class:`PackedClassModel`: fewer words, same API.
-
-    Scores queries against only the first ``words`` ``uint64`` words of
-    each class row (and of each query), i.e. against a ``min(64 * words,
-    D)``-component prefix of the holographic representation.  Because HDC
-    spreads information uniformly across components (the uHD runtime-
-    scaling observation), the prefix is itself a well-formed class model:
-    accuracy falls smoothly as ``words`` shrinks while the XOR + popcount
-    classification cost falls linearly - the degradation ladder's
-    truncated-dimension rung.
-
-    Exposes ``distances`` / ``similarities`` / ``predict`` with the same
-    conventions as the full model (``dim`` is the *effective* prefix
-    dimension, so similarity normalization stays honest), which makes it a
-    drop-in ``model=`` substitute for
-    :meth:`repro.pipeline.detector.SlidingWindowDetector.scan`.
-
-    **Consistency guarantee:** when ``words`` covers every word of the
-    base model, results are *bitwise identical* to the base model's - the
-    prefix mask equals the base pad mask, so every popcount sees exactly
-    the same bits.
-    """
-
-    def __init__(self, model, words):
-        if not isinstance(model, PackedClassModel):
-            model = PackedClassModel(model)
-        total = packed_words(model.dim)
-        w = int(words)
-        if not 1 <= w <= total:
-            raise ValueError(
-                f"words must be in [1, {total}] for dim {model.dim}, got {words}")
-        self.base = model
-        self.words = w
-        self.n_classes = model.n_classes
-        #: Effective component count of the prefix (pads never counted).
-        self.dim = min(64 * w, model.dim)
-
-    @property
-    def nbytes(self):
-        """Bytes of model actually read per inference pass."""
-        return int(self.base.packed[:, : self.words].nbytes)
-
-    def distances(self, packed_queries):
-        """Prefix Hamming distances ``(n, k)``: XOR + popcount on ``words`` words.
-
-        Queries may carry their full word count (the prefix is sliced off)
-        or arrive already truncated.
-        """
-        q = np.atleast_2d(np.asarray(packed_queries, dtype=np.uint64))
-        return pairwise_hamming(q[:, : self.words],
-                                self.base.packed[:, : self.words],
-                                dim=self.dim)
-
-    def similarities(self, packed_queries):
-        """Normalized similarities ``1 - 2 * hamming / dim_effective``."""
-        return 1.0 - 2.0 * self.distances(packed_queries) / float(self.dim)
-
-    def predict(self, packed_queries):
-        """Label of the prefix-Hamming-nearest class per packed query."""
-        return self.distances(packed_queries).argmin(axis=1)
+    def _rows(self):
+        return self.packed

@@ -3,7 +3,7 @@
 The packed backend's primitives are all *per-window-row* reductions:
 :func:`~repro.core.packed.packed_majority` votes each window's bit-plane
 counters independently, and
-:meth:`~repro.core.packed.PackedClassModel.distance_block` /
+:meth:`~repro.core.packed.PackedScoring.distance_block` /
 ``similarities`` reduce each query row against the model on its own.
 Concatenating the windows of many scenes into one matrix and running one
 majority + one XOR+popcount pass is therefore *bitwise identical* to
@@ -21,8 +21,8 @@ list that per-request :meth:`~repro.pipeline.detector.
 SlidingWindowDetector.scan` calls would produce.  Three routes keep that
 contract:
 
-* **flat packed** - full-width scans (optionally against a truncated
-  model) gather their bound-but-unbundled features per scene
+* **flat packed** - full-width scans (scored on a word prefix under a
+  word budget) gather their bound-but-unbundled features per scene
   (:meth:`~repro.pipeline.engine.SharedFeatureEngine.window_gather`),
   concatenate, and share one majority + one ``similarities`` call.
 * **batched cascade** - scans routed through the
@@ -35,7 +35,7 @@ contract:
   injectors may be stateful, so those requests run through the ordinary
   per-scene ``scan`` - correctness first, batching where it is free.
 
-Requests are grouped by (class model, word budget); different strides
+Requests are grouped by (class model, scored words); different strides
 and scene sizes batch together freely since every row knows its scene.
 """
 
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.packed import PackedClassModel, block_dim, packed_majority
+from ..core.packed import block_dim, packed_majority
 from ..hardware.opcount import (
     batched_stage_profile,
     packed_assemble_profile,
@@ -106,21 +106,7 @@ class CrossStreamBatcher:
         det = self.detector
         if det.backend != "packed" or req.injector is not None:
             return "solo"
-        if det.cascade is not None and (req.model is None
-                                        or hasattr(req.model,
-                                                   "distance_block")):
-            return "cascade"
-        return "flat"
-
-    def _group_key(self, req):
-        """Requests batch together iff they score the same (model, cap)."""
-        det = self.detector
-        base = req.model if req.model is not None else det.packed_model()
-        cap = None
-        if req.max_words is not None and hasattr(base, "truncated") and \
-                int(req.max_words) < getattr(base, "n_words", 0):
-            cap = int(req.max_words)
-        return id(base), cap
+        return "flat" if det.cascade is None else "cascade"
 
     # ------------------------------------------------------------------
     # entry point
@@ -146,46 +132,35 @@ class CrossStreamBatcher:
                     req.scene, injector=req.injector, model=req.model,
                     stride=req.stride, max_words=req.max_words)
                 continue
-            key = (route,) + self._group_key(req)
-            groups.setdefault(key, []).append((i, req))
-        for (route, _, cap), members in groups.items():
+            # requests batch together iff they score the same words of
+            # the same model
+            model = self.detector.class_model(req.model)
+            words = self.detector.word_cap(model, req.max_words)
+            key = (route, id(model), words)
+            groups.setdefault(key, (model, []))[1].append((i, req))
+        for (route, _, words), (model, members) in groups.items():
             idxs = [i for i, _ in members]
             reqs = [r for _, r in members]
             stats["groups"] += 1
             stats[route] += len(reqs)
             if route == "flat":
-                stats["windows"] += self._scan_flat_group(reqs, idxs, out)
+                stats["windows"] += self._scan_flat_group(reqs, idxs, out,
+                                                          model, words)
             else:
-                stats["windows"] += self._scan_cascade_group(reqs, idxs, out,
-                                                             cap)
+                stats["windows"] += self._scan_cascade_group(
+                    reqs, idxs, out, model, words)
         self.last_stats = stats
         return out
 
     # ------------------------------------------------------------------
     # flat packed path
     # ------------------------------------------------------------------
-    def _flat_model(self, req):
-        """Resolve the effective packed model exactly as ``scan`` does."""
-        det = self.detector
-        model = req.model
-        if req.max_words is not None:
-            base = model if model is not None else det.packed_model()
-            if hasattr(base, "truncated") and \
-                    int(req.max_words) < getattr(base, "n_words", 0):
-                model = base.truncated(int(req.max_words))
-        if model is None:
-            model = det.packed_model()
-        elif not hasattr(model, "similarities"):
-            model = PackedClassModel(model)
-        return model
-
-    def _scan_flat_group(self, reqs, idxs, out):
+    def _scan_flat_group(self, reqs, idxs, out, model, words):
         """One majority + one similarities call for a whole group."""
         det = self.detector
         eng = det.engine
         prof = det.profiler
         ext = det.pipeline.extractor
-        model = self._flat_model(reqs[0])
         plans, flats, valids = [], [], []
         for req in reqs:
             scene = np.asarray(req.scene, dtype=np.float64)
@@ -205,10 +180,11 @@ class CrossStreamBatcher:
                                     n_bins=ext.n_bins) * n_total,
             items=n_total)
         with prof.stage("batch_classify"):
-            sims = model.similarities(queries)
+            sims = model.similarities(queries, words)
         prof.add_profile(
             "batch_classify",
-            packed_infer_profile(model.dim, model.n_classes) * n_total,
+            packed_infer_profile(block_dim(model.dim, 0, words),
+                                 model.n_classes) * n_total,
             items=n_total)
         sims = np.atleast_2d(np.asarray(sims))
         face = det.face_class
@@ -224,7 +200,7 @@ class CrossStreamBatcher:
     # ------------------------------------------------------------------
     # batched cascade path
     # ------------------------------------------------------------------
-    def _scan_cascade_group(self, reqs, idxs, out, cap):
+    def _scan_cascade_group(self, reqs, idxs, out, model, words):
         """Seed + refine passes with cross-scene stage batching.
 
         Per-scene plans (seed grid, refine neighborhoods, stage
@@ -234,12 +210,7 @@ class CrossStreamBatcher:
         """
         det = self.detector
         scanner = det.cascade_scanner()
-        model = reqs[0].model
-        if model is None:
-            model = det.packed_model()
-        elif not hasattr(model, "similarities"):
-            model = PackedClassModel(model)
-        stages = scanner._effective_stages(model.n_words, cap)
+        stages = scanner._effective_stages(model.n_words, words)
         plans = []
         for req in reqs:
             scene = np.asarray(req.scene, dtype=np.float64)

@@ -3,8 +3,9 @@
 The packed backend scores every window against all ``W = ceil(D / 64)``
 words of the class model even though a short word-prefix of a holographic
 model already separates faces from clutter - the paper's dimensionality-
-scaling observation, exploited defensively by
-:class:`repro.core.packed.TruncatedClassModel` and offensively here.
+scaling observation, exploited defensively by the ladder's word budget
+(``similarities(queries, words)`` of :class:`repro.core.packed.
+PackedScoring`) and offensively here.
 Because the components of a random hypervector are exchangeable, the
 Hamming distance over the first ``n`` components concentrates around
 ``n / D`` times the full-D distance, so a window whose *prefix* margin is
@@ -20,7 +21,7 @@ the window x word product:
   model.  Escalation is *incremental*: each stage assembles only the new
   word block (:meth:`repro.pipeline.engine.SharedFeatureEngine.
   window_queries_prefix`) and adds its block Hamming distances
-  (:meth:`repro.core.packed.PackedClassModel.distance_block`) onto the
+  (:meth:`repro.core.packed.PackedScoring.distance_block`) onto the
   accumulated stage-1 popcounts - no word is ever XOR'd or popcounted
   twice.
 * **window axis** - *coarse-seed-then-refine*: only every ``seed_factor``-th
@@ -52,7 +53,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.packed import PackedClassModel
 from ..hardware.opcount import cascade_stage_profile
 from .detector import DetectionMap
 
@@ -270,8 +270,7 @@ class CascadeCalibrator:
         cascade sheds them early at no recall cost.
         """
         det = self.detector
-        if model is None:
-            model = det.packed_model()
+        model = det.class_model(model)
         total = model.n_words
         dim = model.dim
         schedule = self.words or default_word_schedule(total)
@@ -415,9 +414,9 @@ class CascadeScanner:
         """Stage schedule clipped to the model width and a word budget.
 
         Capping replaces the tail of the schedule with one final stage at
-        the cap - its margins are exactly the
-        :class:`~repro.core.packed.TruncatedClassModel` margins at that
-        width, which is how the ladder's ``word_budget`` rungs shed depth.
+        the cap - its margins are exactly the word-prefix margins
+        (``similarities(queries, cap)``) at that width, which is how the
+        ladder's ``word_budget`` rungs shed depth.
         """
         cap = int(total_words)
         if max_words is not None:
@@ -474,20 +473,11 @@ class CascadeScanner:
         prefix margin they were rejected at; unvisited coarse-grid
         positions carry :data:`FLOOR_SCORE`.  ``max_words`` caps the
         escalation depth (the degradation ladder's dial); ``model``
-        substitutes the class model as in the plain scan and must expose
-        ``distance_block``.
+        substitutes the class model as in the plain scan.
         """
         det = self.detector
         scene = np.asarray(scene, dtype=np.float64)
-        if model is None:
-            model = det.packed_model()
-        elif not hasattr(model, "similarities"):
-            model = PackedClassModel(model)
-        if not hasattr(model, "distance_block"):
-            raise ValueError(
-                "cascade scanning needs a model with distance_block "
-                f"(got {type(model).__name__}); use the plain packed scan "
-                "for model substitutes without block rescoring")
+        model = det.class_model(model)
         stages = self._effective_stages(model.n_words, max_words)
         origins, (n_wy, n_wx) = det.origins(scene.shape, stride)
         scores = np.full(n_wy * n_wx, FLOOR_SCORE, dtype=np.float64)

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.hypervector import as_rng
-from ..core.packed import PackedClassModel
+from ..core.packed import PackedClassModel, PackedScoring, block_dim
 from ..datasets.faces import draw_face, draw_nonface, random_face_params
 from ..hardware.opcount import (
     hd_hog_profile,
@@ -197,6 +197,27 @@ class SlidingWindowDetector:
             self._packed_model = cached = (hvs, model)
         return cached[1]
 
+    def class_model(self, model=None):
+        """The packed class model a scan scores with.
+
+        ``None`` is the detector's own :meth:`packed_model`; a
+        ``(n_classes, D)`` bipolar matrix is packed; a plain, guarded or
+        adapting model (any :class:`~repro.core.packed.PackedScoring`) is
+        used as given.
+        """
+        if model is None:
+            return self.packed_model()
+        if isinstance(model, PackedScoring):
+            return model
+        return PackedClassModel(model)
+
+    @staticmethod
+    def word_cap(model, max_words):
+        """Words a scan with word budget ``max_words`` scores on ``model``."""
+        if max_words is None:
+            return model.n_words
+        return min(int(max_words), model.n_words)
+
     def _has_shared_api(self):
         extractor = getattr(self.pipeline, "extractor", None)
         return (hasattr(extractor, "extract_fields")
@@ -265,35 +286,29 @@ class SlidingWindowDetector:
         ``model`` substitutes the stored class model for this scan (the
         fault campaigns' model-attack surface, mirroring
         ``HDFacePipeline.predict(model=)``): a ``(n_classes, D)`` matrix
-        for the dense backend, or a :class:`~repro.core.packed.
-        PackedClassModel` / :class:`~repro.reliability.guard.
-        GuardedClassModel` (anything with ``similarities``) for the
-        packed backend.
+        for the dense backend, or a packed model for the packed backend
+        (resolved by :meth:`class_model`: a matrix, a
+        :class:`~repro.core.packed.PackedClassModel`, or a guarded or
+        adapting :class:`~repro.reliability.guard.GuardedClassModel`).
 
         ``stride`` overrides the scan stride for this call only (shared /
         perwindow engines; the returned map records the stride actually
         used) - the degradation ladder's coarse-grid rung.
 
         ``max_words`` caps the packed classification at a word-prefix of
-        the model (the ladder's ``word_budget`` dial): cascade scans cap
-        their escalation depth, plain packed scans score against the
-        matching :meth:`~repro.core.packed.PackedClassModel.truncated`
-        view.  Scores at a cap are the truncated model's margins.
+        the model (the ladder's ``word_budget`` dial), whatever the model:
+        cascade scans cap their escalation depth, plain packed scans score
+        ``similarities(queries, words)`` on the prefix.  Scores at a cap
+        are the prefix model's margins.
         """
         scene = np.asarray(scene, dtype=np.float64)
         prof = self.profiler
-        if self.cascade is not None and \
-                (model is None or hasattr(model, "distance_block")):
+        if self.cascade is not None:
             return self.cascade_scanner().scan(
                 scene, injector=injector, model=model, stride=stride,
                 max_words=max_words)
-        if max_words is not None:
-            if self.backend != "packed":
-                raise ValueError("max_words requires the packed backend")
-            base = model if model is not None else self.packed_model()
-            if hasattr(base, "truncated") and \
-                    int(max_words) < getattr(base, "n_words", 0):
-                model = base.truncated(int(max_words))
+        if max_words is not None and self.backend != "packed":
+            raise ValueError("max_words requires the packed backend")
         if self.mode == "legacy":
             if model is not None:
                 raise ValueError("model substitution requires the shared or "
@@ -309,15 +324,13 @@ class SlidingWindowDetector:
             origins, (n_wy, n_wx) = self.origins(scene.shape, stride)
             queries = self._window_queries(scene, origins, injector)
             if self.backend == "packed":
-                if model is None:
-                    model = self.packed_model()
-                elif not hasattr(model, "similarities"):
-                    model = PackedClassModel(model)
+                model = self.class_model(model)
+                words = self.word_cap(model, max_words)
                 with prof.stage("classify"):
-                    sims = model.similarities(queries)
+                    sims = model.similarities(queries, words)
                 prof.add_profile(
                     "classify",
-                    packed_infer_profile(model.dim,
+                    packed_infer_profile(block_dim(model.dim, 0, words),
                                          model.n_classes) * len(origins),
                     items=len(origins),
                 )

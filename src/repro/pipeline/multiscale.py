@@ -12,7 +12,9 @@ This module extends the sliding-window detector with the standard tooling:
 * :func:`execute_plan` - the single frame-scan code path: every caller
   (``PyramidDetector.detect``, the serving runtime, the fleet batch gate,
   the CLI) describes *what* to scan with a
-  :class:`~repro.pipeline.plan.Plan` and this function runs it.
+  :class:`~repro.pipeline.plan.Plan` and this function runs it; the
+  plan's word budget applies to whichever class model scores the scan
+  (plain, guarded or adapting).
 """
 
 from __future__ import annotations
@@ -239,8 +241,9 @@ class PyramidDetector:
         scans only the first N pyramid levels (finest first - the deep,
         cheap levels contribute the large-face coverage that a temporal
         tracker coasts through anyway), and ``max_words`` caps the packed
-        classification depth per window (cascade escalation depth, or the
-        truncated-model prefix on plain packed scans).
+        classification depth per window for any class model (cascade
+        escalation depth, or the scored word prefix on plain packed
+        scans).
 
         The per-call knobs are packaged into an ad-hoc
         :class:`~repro.pipeline.plan.Plan` and run through

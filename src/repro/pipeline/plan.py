@@ -59,10 +59,10 @@ class Plan:
     max_levels:
         Scan only the first N pyramid levels (None = all).
     max_words:
-        Packed word budget per window: flat scans score against the
-        matching :meth:`repro.core.packed.PackedClassModel.truncated`
-        view, cascade scans cap their escalation depth.  Packed backend
-        only.
+        Packed word budget per window, for any class model: flat scans
+        score the word prefix (:meth:`repro.core.packed.PackedScoring.
+        similarities` with ``words``), cascade scans cap their escalation
+        depth.  Packed backend only.
     stage_words:
         The cascade's cumulative word schedule this plan assumes (purely
         descriptive - execution uses the detector's own cascade scanner;

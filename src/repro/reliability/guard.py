@@ -10,9 +10,7 @@ the classic TMR recipe, priced in
 
 1. **Replication** - ``R`` (odd) copies of the packed class matrix.
 2. **Detection** - a per-class checksum (golden digest taken at build
-   time) re-checked before inference, or the cheaper *similarity canary*
-   (a fixed probe vector whose clean class distances are recorded; any
-   drift marks the active replica corrupt).
+   time) re-checked before every scoring call.
 3. **Repair** - bitwise majority vote across replicas
    (:func:`repro.core.packed.packed_majority` over the replica axis)
    rewrites every replica of a corrupted class; a vote that still fails
@@ -21,8 +19,10 @@ the classic TMR recipe, priced in
    voted row is adopted as the new reference, and inference continues -
    graceful degradation instead of serving silently wrong similarities.
 
-Inference reads replica 0, so the steady-state overhead is the scrub
-pass, not the vote (which only runs on detected corruption).
+Inference reads replica 0 through the shared
+:class:`~repro.core.packed.PackedScoring` protocol, word budgets
+included, so the steady-state overhead is the scrub pass, not the vote
+(which only runs on detected corruption).
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from ..core.hypervector import as_rng, packed_tail_mask, packed_words
 from ..core.packed import (
     PackedClassModel,
-    block_dim,
+    PackedScoring,
     packed_majority,
     pairwise_hamming,
 )
@@ -43,18 +43,19 @@ from .integrity import digest_array
 
 __all__ = ["GuardedClassModel", "AdaptiveGuardedModel"]
 
-CHECKS = ("checksum", "canary", "ecc")
+CHECKS = ("checksum", "ecc")
 
 #: Repair-ladder rungs of the ``check="ecc"`` mode, cheapest first.
 REPAIR_RUNGS = ("ecc", "remat", "vote", "degrade")
 
 
-class GuardedClassModel:
+class GuardedClassModel(PackedScoring):
     """Replicated, checksummed, self-repairing packed class model.
 
-    Drop-in for :class:`repro.core.packed.PackedClassModel` on the
-    inference side (``distances`` / ``similarities`` / ``predict`` with
-    identical clean semantics), with a scrub-and-repair pass in front.
+    Scores like :class:`repro.core.packed.PackedClassModel` (the shared
+    :class:`~repro.core.packed.PackedScoring` protocol, with identical
+    clean semantics at every word budget), with a scrub-and-repair pass
+    in front of every scoring call.
 
     Parameters
     ----------
@@ -66,18 +67,15 @@ class GuardedClassModel:
         degrades to detection-only (any corruption is unrepairable).
     check:
         ``"checksum"`` (default) verifies every replica row's digest on
-        each scrub; ``"canary"`` first probes the active replica with a
-        fixed random query and only falls back to the full checksum scrub
-        when the canary distances drift (cheaper, but blind to corruption
-        that leaves the canary distances unchanged on non-active
-        replicas).
-    scrub_every:
-        Scrub once per this many inference calls (1 = every call).
+        each scrub and repairs by majority vote; ``"ecc"`` adds a SEC-DED
+        parity sidecar and repairs through the ECC -> remat -> vote ->
+        degrade ladder.
     seed_or_rng:
-        Randomness for the canary probe vector.
+        Randomness for the canary probe vector (the step bound of
+        :meth:`AdaptiveGuardedModel.propose`).
     """
 
-    def __init__(self, model, replicas=3, check="checksum", scrub_every=1,
+    def __init__(self, model, replicas=3, check="checksum",
                  seed_or_rng=None):
         base = model if isinstance(model, PackedClassModel) \
             else PackedClassModel(model)
@@ -90,7 +88,6 @@ class GuardedClassModel:
         self.n_classes = base.n_classes
         self.n_replicas = r
         self.check = check
-        self.scrub_every = max(int(scrub_every), 1)
         #: ``(R, n_classes, W)`` stored replica words.  Tests and fault
         #: campaigns corrupt this array directly (or via
         #: :meth:`corrupt_replica`).
@@ -111,14 +108,11 @@ class GuardedClassModel:
         #: replicas agreed on wrong words); inference continues on the
         #: voted rows.
         self.degraded_classes = set()
-        self._calls = 0
         self.scrubs = 0
         self.checks = 0
         self.detected = 0
         self.repaired = 0
         self.unrepairable = 0
-        self.canary_checks = 0
-        self.canary_misses = 0
         self.ecc_corrected_words = 0
         self.ecc_detected_words = 0
         #: Repairs per ladder rung (``ecc``/``remat`` count rows,
@@ -136,16 +130,6 @@ class GuardedClassModel:
             total += int(self._parity.nbytes)
         return total
 
-    def canary_ok(self):
-        """True if the active replica still answers the canary cleanly."""
-        self.canary_checks += 1
-        dists = pairwise_hamming(self._canary, self.replicas[0],
-                                 dim=self.dim)[0]
-        ok = bool(np.array_equal(dists, self._canary_golden))
-        if not ok:
-            self.canary_misses += 1
-        return ok
-
     def _corrupt_rows(self):
         """``(replica, class)`` index pairs whose stored digest mismatches."""
         bad = []
@@ -156,15 +140,11 @@ class GuardedClassModel:
                     bad.append((rep, c))
         return bad
 
-    def scrub(self, force=False):
+    def scrub(self):
         """Verify the stored replicas; repair (or flag) corrupted classes.
 
         Returns the number of corrupted ``(replica, class)`` rows found.
-        With ``check="canary"`` the full digest pass only runs when the
-        canary drifts (or ``force=True``).
         """
-        if self.check == "canary" and not force and self.canary_ok():
-            return 0
         self.scrubs += 1
         bad = self._corrupt_rows()
         if not bad:
@@ -276,8 +256,6 @@ class GuardedClassModel:
             "detected": self.detected,
             "repaired": self.repaired,
             "unrepairable": self.unrepairable,
-            "canary_checks": self.canary_checks,
-            "canary_misses": self.canary_misses,
             "ecc_corrected_words": self.ecc_corrected_words,
             "ecc_detected_words": self.ecc_detected_words,
             "rungs": dict(self.rungs),
@@ -306,53 +284,12 @@ class GuardedClassModel:
         return int(hit.sum())
 
     # ------------------------------------------------------------------
-    # inference (PackedClassModel-compatible)
+    # inference (the PackedScoring protocol)
     # ------------------------------------------------------------------
-    def _active(self):
-        self._calls += 1
-        if self._calls % self.scrub_every == 0:
-            self.scrub()
+    def _rows(self):
+        """Replica 0, scrub-checked (and repaired) before it is read."""
+        self.scrub()
         return self.replicas[0]
-
-    @property
-    def n_words(self):
-        """Packed words per class row (``ceil(dim / 64)``).
-
-        Exposing the packed geometry lets guarded models flow through
-        every ``model=`` substitution surface that truncates or cascades
-        on word counts (the fleet batcher's grouping, the cascade
-        scanner's stage schedule).
-        """
-        return packed_words(self.dim)
-
-    def distances(self, packed_queries):
-        """Hamming distance of each packed query to each class: ``(n, k)``."""
-        return pairwise_hamming(packed_queries, self._active(), dim=self.dim)
-
-    def distance_block(self, packed_queries, word_start, word_stop):
-        """Partial Hamming distances over words ``[word_start, word_stop)``.
-
-        The cascade scanner's incremental-rescoring kernel, served from
-        the scrub-checked active replica - so cascade-mode fleets scan
-        against the *guarded* model instead of the raw packed rows.
-        Semantics match :meth:`repro.core.packed.PackedClassModel.
-        distance_block` exactly (block queries or full-width queries,
-        pads masked on the final word).
-        """
-        w0, w1 = int(word_start), int(word_stop)
-        bdim = block_dim(self.dim, w0, w1)
-        q = np.atleast_2d(np.asarray(packed_queries, dtype=np.uint64))
-        if q.shape[-1] != w1 - w0:
-            q = q[:, w0:w1]
-        return pairwise_hamming(q, self._active()[:, w0:w1], dim=bdim)
-
-    def similarities(self, packed_queries):
-        """Normalized similarities ``1 - 2 * hamming / D`` in ``[-1, 1]``."""
-        return 1.0 - 2.0 * self.distances(packed_queries) / float(self.dim)
-
-    def predict(self, packed_queries):
-        """Label of the Hamming-nearest class per packed query."""
-        return self.distances(packed_queries).argmin(axis=1)
 
 
 class AdaptiveGuardedModel(GuardedClassModel):
@@ -388,13 +325,12 @@ class AdaptiveGuardedModel(GuardedClassModel):
        :func:`~repro.runtime.checkpoint.load_model_state`, which is the
        same machinery that persists the model across worker restarts.
 
-    Inference (``distances`` / ``similarities`` / ``predict``) snapshots
-    the active replica under the update lock, so fleet streams can scan
-    while another stream's proposal is mid-flight; proposals themselves
-    are serialized on :attr:`_lock`.
+    Every scoring call reads a copy of replica 0 taken under the update
+    lock, so fleet streams can scan while another stream's proposal is
+    mid-flight; proposals themselves are serialized on :attr:`_lock`.
     """
 
-    def __init__(self, model, replicas=3, check="checksum", scrub_every=1,
+    def __init__(self, model, replicas=3, check="checksum",
                  seed_or_rng=None, prior=32, max_planes=16,
                  max_step_frac=0.05, probe_flip=0.1, probes_per_class=4,
                  min_probe_accuracy=1.0):
@@ -402,7 +338,7 @@ class AdaptiveGuardedModel(GuardedClassModel):
         base = model if isinstance(model, PackedClassModel) \
             else PackedClassModel(model)
         super().__init__(base, replicas=replicas, check=check,
-                         scrub_every=scrub_every, seed_or_rng=seed_or_rng)
+                         seed_or_rng=seed_or_rng)
         self._lock = threading.RLock()
         self.counters = [OnlineCounters(base, prior=prior,
                                         max_planes=max_planes)
@@ -569,19 +505,13 @@ class AdaptiveGuardedModel(GuardedClassModel):
     # ------------------------------------------------------------------
     # locked inference / scrub (fleet streams read while updates land)
     # ------------------------------------------------------------------
-    def scrub(self, force=False):
+    def scrub(self):
         with self._lock:
-            return super().scrub(force)
+            return super().scrub()
 
-    def distances(self, packed_queries):
+    def _rows(self):
         with self._lock:
-            active = self._active().copy()
-        return pairwise_hamming(packed_queries, active, dim=self.dim)
-
-    def distance_block(self, packed_queries, word_start, word_stop):
-        with self._lock:
-            return super().distance_block(packed_queries, word_start,
-                                          word_stop)
+            return super()._rows().copy()
 
     def stats(self):
         """Protection counters plus the adaptation ledger."""

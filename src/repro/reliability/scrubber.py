@@ -81,7 +81,7 @@ class MemoryScrubber:
         seen = {"repaired": model.repaired, "bad": model.unrepairable}
 
         def scrub():
-            detected = model.scrub(force=True)
+            detected = model.scrub()
             repaired = model.repaired - seen["repaired"]
             unrepairable = model.unrepairable - seen["bad"]
             seen["repaired"] = model.repaired

@@ -416,7 +416,7 @@ def _memory_audit(runtime, injector, scrubber):
     model = runtime.model_override
     guard, model_residual = None, 0
     if hasattr(model, "scrub"):
-        model_residual = model.scrub(force=True)
+        model_residual = model.scrub()
         guard = model.stats()
     info = engine.cache_info()
     item_repairs = sum(s["scrub_repairs"] for s in items)

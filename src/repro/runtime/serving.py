@@ -39,7 +39,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ..core.hypervector import packed_words
 from ..pipeline.multiscale import PyramidDetector, execute_plan, pyramid
 from ..pipeline.plan import Plan
 from ..pipeline.stream import FrameQueue, TemporalTracker, VideoStreamDetector
@@ -255,7 +254,6 @@ class ResilientVideoDetector:
         self._proc_latencies = []
         self._next_index = 0
         self._prev_levels = None
-        self._trunc_cache = {}
         self._state_lock = threading.RLock()
         self._generation = 0
         self._consumer = None
@@ -264,32 +262,6 @@ class ResilientVideoDetector:
     # ------------------------------------------------------------------
     # degradation plumbing
     # ------------------------------------------------------------------
-    def _serving_model(self, rung):
-        """Class model for this rung: override, truncated view, or default.
-
-        The truncated views are cached per (model, words); when the rung's
-        prefix covers every word the full model is used directly (scores
-        then bitwise match full-dimension classification).
-        """
-        override = self.model_override
-        if self.backend != "packed":
-            return override
-        base_model = override if override is not None \
-            else self.base.packed_model()
-        words = rung.prefix_words(getattr(base_model, "dim", 0) or
-                                  self.base.pipeline.dim)
-        full = rung.word_budget is None and rung.prefix_fraction >= 1.0
-        if full or not hasattr(base_model, "truncated"):
-            return base_model
-        if words >= base_model.n_words:
-            return base_model
-        key = (id(base_model), words)
-        model = self._trunc_cache.get(key)
-        if model is None:
-            model = base_model.truncated(words)
-            self._trunc_cache[key] = model
-        return model
-
     def _predict_tracks(self):
         """Skip-and-predict: the tracker's confirmed tracks, coasting."""
         return [replace(t) for t in self.tracker.active()]
@@ -364,31 +336,18 @@ class ResilientVideoDetector:
                 reuse["dirty_pixels"] += stats["dirty_pixels"]
                 reuse["patched_levels"] += stats["mode"] == "patched"
         self._check_cancel(cancel)
-        if getattr(self.base, "cascade", None) is not None \
-                and self.backend == "packed":
-            # cascade-mode base: the plan's word budget caps the
-            # escalation depth instead of substituting a truncated model,
-            # so the cascade's staged rejection and the ladder's
-            # load-shedding compose (see repro.runtime.ladder.cascade_ladder)
-            words = plan.prefix_words(self.base.pipeline.dim)
-            max_words = words if words < packed_words(
-                self.base.pipeline.dim) else None
-            model = self.model_override
-        else:
-            # flat route: the word budget is realized as a cached
-            # truncated-model view instead of a per-scan truncation
-            max_words = None
-            model = self._serving_model(rung)
-        exec_plan = replace(plan, max_words=max_words,
-                            workers=self.pyramid.workers)
+        # the plan's word budget caps classification whatever the model
+        # (plain, guarded or adapting): the escalation depth of a cascade
+        # base, the scored word prefix of a flat one
+        exec_plan = replace(plan, workers=self.pyramid.workers)
         # fleet path: execute_plan hands the per-level scans to the
         # cross-stream batch gate (pooled with other streams' windows)
         # and keeps only the threshold+NMS tail local - bitwise the same
         # detections as the solo path (injector scans stay solo).
         detections = execute_plan(
             self.pyramid, frame, exec_plan, injector=self.injector,
-            model=model, levels=levels, batch_scan=self.batch_scan,
-            cancel=cancel)
+            model=self.model_override, levels=levels,
+            batch_scan=self.batch_scan, cancel=cancel)
         self._check_cancel(cancel)
         return detections, levels, reuse
 

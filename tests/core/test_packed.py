@@ -19,7 +19,7 @@ from repro.core.hypervector import (
 )
 from repro.core.packed import (
     PackedClassModel,
-    TruncatedClassModel,
+    block_dim,
     packed_bind,
     packed_majority,
     packed_nearest,
@@ -235,77 +235,94 @@ class TestCorruptedModel:
 
 
 class TestTruncatedClassModel:
+    """The truncated class model: a word prefix scored through
+    ``similarities(queries, words)``."""
+
     def _model(self, dim=512, n_classes=3):
         return PackedClassModel(random_hypervector(dim, 0,
                                                    shape=(n_classes,)))
 
     def test_full_prefix_is_bitwise_identical(self):
         model = self._model()
-        view = model.truncated(model.n_words)
         q = pack_bits(random_hypervector(512, 1, shape=(16,)))
-        assert (view.distances(q) == model.distances(q)).all()
-        assert (view.predict(q) == model.predict(q)).all()
-        assert (view.similarities(q) == model.similarities(q)).all()
-        assert view.dim == model.dim
+        full = model.similarities(q, model.n_words)
+        assert (full == model.similarities(q)).all()
+        assert (model.distance_block(q, 0, model.n_words)
+                == model.distances(q)).all()
+        assert (full.argmax(axis=1) == model.predict(q)).all()
 
     def test_full_prefix_identical_with_pad_bits(self):
         # dim 100 leaves 28 pad bits in the last word: the prefix mask
         # must equal the pad mask, not count the pads
         model = self._model(dim=100)
-        view = model.truncated(model.n_words)
         q = pack_bits(random_hypervector(100, 1, shape=(8,)))
-        assert (view.distances(q) == model.distances(q)).all()
-        assert view.dim == 100
+        assert (model.distance_block(q, 0, model.n_words)
+                == model.distances(q)).all()
+        assert (model.similarities(q, model.n_words)
+                == model.similarities(q)).all()
 
     def test_effective_dim_and_footprint_shrink(self):
+        # a 2-word prefix of a 512-component model scores 128 components
+        # and reads only those words: garbage past the prefix is unseen
         model = self._model(dim=512)
-        view = model.truncated(2)
-        assert view.dim == 128
-        assert view.nbytes == model.nbytes // 4
-        assert view.words == 2 and view.n_classes == model.n_classes
+        q = pack_bits(random_hypervector(512, 2, shape=(6,)))
+        sims = model.similarities(q, 2)
+        assert block_dim(model.dim, 0, 2) == 128
+        assert np.array_equal(
+            sims, 1.0 - 2.0 * model.distance_block(q, 0, 2) / 128.0)
+        model.packed[:, 2:] = ~model.packed[:, 2:]
+        assert np.array_equal(model.similarities(q, 2), sims)
 
     def test_last_word_prefix_caps_dim_at_model_dim(self):
         model = self._model(dim=100)  # 2 words, 100 real bits
-        assert model.truncated(2).dim == 100
-        assert model.truncated(1).dim == 64
+        q = pack_bits(random_hypervector(100, 3, shape=(5,)))
+        for words, n in ((2, 100), (1, 64)):
+            d = model.distance_block(q, 0, words)
+            assert np.array_equal(model.similarities(q, words),
+                                  1.0 - 2.0 * d / float(n))
 
     def test_prefix_distance_matches_manual_slice(self):
         model = self._model(dim=512)
         words = 3
-        view = model.truncated(words)
         q = pack_bits(random_hypervector(512, 2, shape=(5,)))
         manual = pairwise_hamming(q[:, :words], model.packed[:, :words],
                                   dim=64 * words)
-        assert (view.distances(q) == manual).all()
+        assert (model.distance_block(q, 0, words) == manual).all()
+        assert np.array_equal(model.similarities(q, words),
+                              1.0 - 2.0 * manual / (64.0 * words))
 
     def test_accepts_already_truncated_queries(self):
         model = self._model()
-        view = model.truncated(4)
         q = pack_bits(random_hypervector(512, 3, shape=(4,)))
-        assert (view.distances(q[:, :4]) == view.distances(q)).all()
+        assert np.array_equal(model.similarities(q[:, :4], 4),
+                              model.similarities(q, 4))
 
     def test_similarities_normalized_by_effective_dim(self):
         model = self._model()
-        view = model.truncated(4)
         q = pack_bits(random_hypervector(512, 5, shape=(6,)))
-        sims = view.similarities(q)
+        sims = model.similarities(q, 4)
         assert (np.abs(sims) <= 1.0).all()
-        assert np.allclose(sims,
-                           1.0 - 2.0 * view.distances(q) / float(view.dim))
+        assert np.array_equal(
+            sims, 1.0 - 2.0 * model.distance_block(q, 0, 4) / 256.0)
 
     def test_word_bounds_validated(self):
         model = self._model()
+        q = pack_bits(random_hypervector(512, 6, shape=(2,)))
         with pytest.raises(ValueError):
-            model.truncated(0)
+            model.similarities(q, 0)
         with pytest.raises(ValueError):
-            model.truncated(model.n_words + 1)
+            model.similarities(q, model.n_words + 1)
 
     def test_wraps_raw_model_arrays(self):
+        # holography: the word prefix of a model packed from a raw
+        # bipolar matrix is the model packed from the matrix's leading
+        # components
         raw = random_hypervector(256, 0, shape=(2,))
-        view = TruncatedClassModel(raw, 2)
-        ref = PackedClassModel(raw).truncated(2)
-        q = pack_bits(random_hypervector(256, 1, shape=(3,)))
-        assert (view.distances(q) == ref.distances(q)).all()
+        q = random_hypervector(256, 1, shape=(3,))
+        prefix = PackedClassModel(raw).similarities(pack_bits(q), 2)
+        small = PackedClassModel(raw[:, :128]).similarities(
+            pack_bits(q[:, :128]))
+        assert np.array_equal(prefix, small)
 
 
 class TestPrefixMonotonicity:
@@ -325,12 +342,12 @@ class TestPrefixMonotonicity:
         q = pack_bits(random_hypervector(dim, seed + 1, shape=(4,)))
         full = model.similarities(q)
         for words in range(1, model.n_words + 1):
-            view = model.truncated(words)
-            n = view.dim
+            n = block_dim(dim, 0, words)
             envelope = 2.0 * (dim - n) / dim + 1e-12
             # prefix sim is over n of D components; compare on the full-D
             # scale (sim = 1 - 2 d / D after rescaling by n / D)
-            prefix_full_scale = 1.0 - 2.0 * view.distances(q) / dim
+            prefix_full_scale = 1.0 - 2.0 * model.distance_block(
+                q, 0, words) / dim
             suffix_gap = np.abs(prefix_full_scale - full)
             assert (suffix_gap <= envelope).all()
 
@@ -341,7 +358,7 @@ class TestPrefixMonotonicity:
         q = pack_bits(random_hypervector(dim, seed + 2, shape=(3,)))
         full = model.similarities(q)
         worst = [
-            np.abs(1.0 - 2.0 * model.truncated(w).distances(q) / dim
+            np.abs(1.0 - 2.0 * model.distance_block(q, 0, w) / dim
                    - full).max()
             for w in range(1, model.n_words + 1)
         ]
@@ -350,7 +367,7 @@ class TestPrefixMonotonicity:
         # final width is exact
         assert worst[-1] == 0.0
         for w, g in zip(range(1, model.n_words + 1), worst):
-            n = model.truncated(w).dim
+            n = block_dim(dim, 0, w)
             assert g <= 2.0 * (dim - n) / dim + 1e-12
 
     def test_prediction_stabilizes_once_margin_clears_envelope(self):
@@ -359,26 +376,23 @@ class TestPrefixMonotonicity:
         q = model.packed[:1].copy()  # the face prototype itself
         full_margin = 2.0  # sim 1 vs sim ~0
         for words in range(1, model.n_words + 1):
-            n = model.truncated(words).dim
+            n = block_dim(dim, 0, words)
             if full_margin > 4.0 * (dim - n) / dim:
                 # margin exceeds twice the per-class envelope: no wider
-                # prefix can flip the argmin
-                assert model.truncated(words).predict(q)[0] == 0
+                # prefix can flip the argmax
+                assert model.similarities(q, words).argmax(axis=1)[0] == 0
 
 
 class TestBlockDim:
     def test_interior_blocks_are_word_sized(self):
-        from repro.core.packed import block_dim
         assert block_dim(4096, 0, 4) == 256
         assert block_dim(4096, 4, 16) == 768
 
     def test_tail_block_counts_real_bits_only(self):
-        from repro.core.packed import block_dim
         assert block_dim(100, 1, 2) == 36
         assert block_dim(100, 0, 2) == 100
 
     def test_bounds_validated(self):
-        from repro.core.packed import block_dim
         for w0, w1 in [(-1, 2), (2, 2), (3, 1), (0, 99)]:
             with pytest.raises(ValueError):
                 block_dim(128, w0, w1)
@@ -408,5 +422,6 @@ class TestDistanceBlock:
     def test_single_word_prefix_matches_truncated(self):
         model = PackedClassModel(random_hypervector(256, 0, shape=(2,)))
         q = pack_bits(random_hypervector(256, 1, shape=(4,)))
-        assert (model.distance_block(q, 0, 1)
-                == model.truncated(1).distances(q)).all()
+        assert np.array_equal(
+            1.0 - 2.0 * model.distance_block(q, 0, 1) / 64.0,
+            model.similarities(q, 1))

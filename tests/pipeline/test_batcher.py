@@ -172,7 +172,7 @@ class TestCascadePath:
 
     def test_cascade_and_flat_mix(self, face_pipe, scenes):
         det = shared_detector(face_pipe, cascade=True)
-        override = det.packed_model()  # has distance_block -> cascade route
+        override = det.packed_model()  # a cascade detector: cascade route
         batcher = CrossStreamBatcher(det)
         maps = batcher.scan_many([ScanRequest(scenes[0]),
                                   ScanRequest(scenes[1], model=override)])
@@ -205,7 +205,7 @@ class TestGuardedModels:
         batcher = CrossStreamBatcher(det)
         maps = batcher.scan_many(
             [ScanRequest(s, model=model) for s in scenes])
-        # distance_block is what routes a model through the cascade
+        # every class model scores through the cascade's block protocol
         assert batcher.last_stats["cascade"] == len(scenes)
         assert batcher.last_stats["groups"] == 1
         for got, scene in zip(maps, scenes):

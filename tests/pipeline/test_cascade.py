@@ -198,7 +198,7 @@ class TestCascadeEquivalence:
         plain = packed_detector(face_pipe)
         det = packed_detector(face_pipe, cascade={"seed_factor": 1})
         cap = 8
-        ref = plain.scan(scene, max_words=cap)  # truncated-model path
+        ref = plain.scan(scene, max_words=cap)  # word-prefix flat scan
         out = det.scan(scene, max_words=cap)
         assert np.allclose(out.scores, ref.scores)
 

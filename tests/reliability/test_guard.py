@@ -70,7 +70,7 @@ class TestCleanSemantics:
 
     def test_clean_scrub_detects_nothing(self):
         guarded = GuardedClassModel(make_model(), seed_or_rng=0)
-        assert guarded.scrub(force=True) == 0
+        assert guarded.scrub() == 0
         assert guarded.stats()["detected"] == 0
 
 
@@ -114,9 +114,20 @@ class TestRepair:
         assert guarded.stats()["unrepairable"] == 1
         # the voted (wrong) row is now the stable reference: a further
         # scrub is quiet and predictions stay well-formed
-        assert guarded.scrub(force=True) == 0
+        assert guarded.scrub() == 0
         preds = guarded.predict(make_queries(base))
         assert set(np.unique(preds)) <= {0, 1}
+
+    def test_every_scoring_call_scrubs_first(self):
+        # corruption landing between calls never reaches a score
+        base = make_model(dim=1024, n_classes=2)
+        queries = make_queries(base, n=16)
+        clean = base.distances(queries)
+        guarded = GuardedClassModel(base, replicas=3, seed_or_rng=0)
+        for call in range(3):
+            guarded.corrupt_replica(0, 0.5, seed_or_rng=call)
+            assert (guarded.distances(queries) == clean).all()
+        assert guarded.scrubs == 3
 
     def test_single_replica_is_detection_only(self):
         base = make_model(dim=128, n_classes=2)
@@ -125,51 +136,6 @@ class TestRepair:
         guarded.scrub()
         assert guarded.stats()["unrepairable"] >= 1
         assert guarded.degraded_classes
-
-
-class TestScrubCadence:
-    def test_scrub_every_n_calls(self):
-        guarded = GuardedClassModel(make_model(), scrub_every=3, seed_or_rng=0)
-        queries = make_queries(guarded)
-        for _ in range(6):
-            guarded.predict(queries)
-        assert guarded.scrubs == 2
-
-    def test_corruption_between_scrubs_is_visible_then_healed(self):
-        base = make_model(dim=1024, n_classes=2)
-        queries = make_queries(base, n=16)
-        clean = base.distances(queries)
-        guarded = GuardedClassModel(base, replicas=3, scrub_every=2,
-                                    seed_or_rng=0)
-        guarded.corrupt_replica(0, 0.5, seed_or_rng=4)
-        first = guarded.distances(queries)   # call 1: no scrub yet
-        assert (first != clean).any()
-        second = guarded.distances(queries)  # call 2: scrub repairs first
-        assert (second == clean).all()
-
-
-class TestCanary:
-    def test_canary_detects_active_replica_corruption(self):
-        guarded = GuardedClassModel(make_model(dim=512), check="canary",
-                                    seed_or_rng=0)
-        assert guarded.canary_ok()
-        guarded.corrupt_replica(0, 0.5, seed_or_rng=5)
-        assert not guarded.canary_ok()
-
-    def test_canary_scrub_short_circuits_when_clean(self):
-        guarded = GuardedClassModel(make_model(), check="canary",
-                                    seed_or_rng=0)
-        assert guarded.scrub() == 0
-        assert guarded.stats()["scrubs"] == 0       # digest pass skipped
-        assert guarded.stats()["canary_checks"] == 1
-
-    def test_canary_triggers_full_repair(self):
-        base = make_model(dim=1024, n_classes=2)
-        guarded = GuardedClassModel(base, replicas=3, check="canary",
-                                    seed_or_rng=0)
-        guarded.corrupt_replica(0, 0.5, seed_or_rng=6)
-        assert guarded.scrub() > 0
-        assert (guarded.replicas == base.packed[None]).all()
 
 
 class TestCorruptReplica:
@@ -207,6 +173,24 @@ class TestPackedCompatSurface:
         assert np.array_equal(guarded.distance_block(queries[:, 1:4], 1, 4),
                               base.distance_block(queries, 1, 4))
 
+    def test_word_prefix_matches_base(self):
+        base = make_model(dim=300, n_classes=3)
+        queries = make_queries(base, n=8)
+        for model in (GuardedClassModel(base, seed_or_rng=0),
+                      AdaptiveGuardedModel(base, seed_or_rng=0)):
+            for words in range(1, base.n_words + 1):
+                assert np.array_equal(model.similarities(queries, words),
+                                      base.similarities(queries, words))
+
+    def test_word_prefix_scrubs_corruption(self):
+        base = make_model(dim=1024, n_classes=2)
+        guarded = GuardedClassModel(base, replicas=3, seed_or_rng=0)
+        guarded.corrupt_replica(0, 0.5, seed_or_rng=9)
+        queries = make_queries(base, n=4)
+        assert np.array_equal(guarded.similarities(queries, 4),
+                              base.similarities(queries, 4))
+        assert (guarded.replicas == base.packed[None]).all()
+
     def test_distance_block_scrubs_corruption(self):
         base = make_model(dim=1024, n_classes=2)
         guarded = GuardedClassModel(base, replicas=3, seed_or_rng=0)
@@ -238,7 +222,7 @@ class TestAdaptiveClean:
         assert verdict["applied"]
         assert verdict["step_bits"] > 0
         assert not np.array_equal(adaptive.replicas[0, 1], base.packed[1])
-        assert adaptive.scrub(force=True) == 0
+        assert adaptive.scrub() == 0
         # served rows stay bitwise equal to the counters' rematerialization
         assert np.array_equal(adaptive.replicas[0],
                               adaptive.counters[0].materialize())
@@ -287,7 +271,7 @@ class TestAdaptivePoison:
         assert adaptive.rejected == 1
         # served rows never saw the poison
         assert np.array_equal(adaptive.replicas[0], base.packed)
-        assert adaptive.scrub(force=True) == 0
+        assert adaptive.scrub() == 0
 
     def test_poisoned_replica_outvoted_and_counters_healed(self):
         # the delivery-corruption case: replica 1 receives a poisoned
@@ -327,7 +311,7 @@ class TestAdaptivePoison:
         for cnt, want in zip(adaptive.counters, materialized):
             assert np.array_equal(cnt.materialize(), want)
         assert adaptive.rejected == snap["rejected"]
-        assert adaptive.scrub(force=True) == 0
+        assert adaptive.scrub() == 0
 
     def test_probe_check_rejects_class_collapse(self):
         # two near-identical classes: pulling class 0 onto class 1 within

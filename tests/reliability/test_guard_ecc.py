@@ -50,7 +50,7 @@ class TestLadder:
         guard = make_guard(replicas=1)
         golden = guard.replicas.copy()
         guard.replicas[0, 2, 0] ^= np.uint64(1 << 13)
-        assert guard.scrub(force=True) == 1
+        assert guard.scrub() == 1
         assert np.array_equal(guard.replicas, golden)
         assert guard.rungs["ecc"] == 1
         assert guard.repaired == 1 and guard.unrepairable == 0
@@ -59,7 +59,7 @@ class TestLadder:
         guard = make_guard(replicas=3)
         golden = guard.replicas.copy()
         guard.replicas[1, 0, 0] ^= np.uint64(0b111)  # 3 flips: ECC aliases
-        assert guard.scrub(force=True) >= 1
+        assert guard.scrub() >= 1
         assert np.array_equal(guard.replicas, golden)
         assert guard.rungs["vote"] >= 1
         assert guard.unrepairable == 0
@@ -67,19 +67,19 @@ class TestLadder:
     def test_single_replica_unrepairable_degrades_not_silent(self):
         guard = make_guard(replicas=1)
         guard.replicas[0, 1, 0] ^= np.uint64(0b111)  # no vote partner
-        assert guard.scrub(force=True) >= 1
+        assert guard.scrub() >= 1
         assert guard.unrepairable == 1
         assert guard.degraded_classes == {1}
         assert guard.rungs["degrade"] == 1
         # degraded row became the new reference: next scrub is clean
-        assert guard.scrub(force=True) == 0
+        assert guard.scrub() == 0
 
     def test_parity_refreshed_after_vote_repair(self):
         guard = make_guard(replicas=3)
         guard.replicas[2, 3, 0] ^= np.uint64(0b111)
-        guard.scrub(force=True)
+        guard.scrub()
         # repaired row must pass a fresh ECC check against its sidecar
-        assert guard.scrub(force=True) == 0
+        assert guard.scrub() == 0
 
 
 class TestAdaptiveRematRung:
@@ -95,7 +95,7 @@ class TestAdaptiveRematRung:
         guard = self.make_adaptive(replicas=1)
         golden = guard.replicas.copy()
         guard.replicas[0, 0, 0] ^= np.uint64(0b111)  # beyond SEC-DED
-        assert guard.scrub(force=True) >= 1
+        assert guard.scrub() >= 1
         assert np.array_equal(guard.replicas, golden)
         assert guard.rungs["remat"] >= 1
         assert guard.unrepairable == 0
@@ -104,7 +104,7 @@ class TestAdaptiveRematRung:
 class TestInferenceStaysCorrect:
     def test_scores_equal_unguarded_after_ecc_repair(self):
         base = PackedClassModel(random_hypervector(DIM, 3, shape=(K,)))
-        guard = make_guard(replicas=1, seed=3, scrub_every=1)
+        guard = make_guard(replicas=1, seed=3)
         queries = pack_bits(random_hypervector(DIM, 4, shape=(16,)))
         clean = base.predict(queries)
         guard.replicas[0, 0, 0] ^= np.uint64(1 << 5)

@@ -168,7 +168,7 @@ class TestChaosArming:
         assert adapt["rollbacks"] >= 1
         # the served model never absorbed the poison
         assert np.array_equal(model.replicas, clean_rows)
-        assert model.scrub(force=True) == 0
+        assert model.scrub() == 0
         # and the stream kept detecting through the attack
         assert any(r.detections for r in results)
 

@@ -187,7 +187,7 @@ class TestModelCheckpoint:
         model.propose(_drift_update(model, 1, seed=2))
         load_model_state(model, snap)
         assert np.array_equal(model.replicas, want)
-        assert model.scrub(force=True) == 0
+        assert model.scrub() == 0
         # a fresh snapshot of the restored model matches the original
         again = model_state(model)
         assert np.array_equal(again["replicas"], snap["replicas"])

@@ -285,7 +285,7 @@ class TestFleetGuard:
         np.testing.assert_array_equal(fleet.shared_model.replicas[1], clean)
         # the shared model is healed for *both* streams
         assert fleet.step("b", frames[0]).mode == "detected"
-        assert fleet.shared_model.scrub(force=True) == 0
+        assert fleet.shared_model.scrub() == 0
 
 
 class TestFleetAdapt:

@@ -65,8 +65,8 @@ class TestFullRungEquivalence:
         assert all(r.reuse["mode"] == "delta" for r in results[1:])
 
     def test_covering_prefix_is_bitwise_identical(self, serve_pipe, video):
-        # prefix_fraction that rounds up to every word: the serving model
-        # must fall back to the full model, not a truncated copy
+        # prefix_fraction that rounds up to every word: the scan scores
+        # every word, bitwise the full model
         frames, _ = video
         cover = ResilientVideoDetector(
             make_detector(serve_pipe), budget=10.0, stall_timeout=None,
@@ -78,22 +78,46 @@ class TestFullRungEquivalence:
 
 
 class TestServingModel:
-    def test_truncated_views_are_cached(self, make_runtime):
-        runtime = make_runtime()
-        rung = Rung("half", prefix_fraction=0.5)
-        model = runtime._serving_model(rung)
-        assert model.words == runtime.base.packed_model().n_words // 2
-        assert runtime._serving_model(rung) is model
+    """Every class model a runtime serves answers the rung's word budget."""
 
-    def test_full_rung_uses_the_base_model(self, make_runtime):
-        runtime = make_runtime()
-        assert runtime._serving_model(Rung("full")) \
-            is runtime.base.packed_model()
+    @staticmethod
+    def _serve(pipe, frames, ladder=None, guarded=False):
+        from repro.reliability import GuardedClassModel
+        runtime = ResilientVideoDetector(make_detector(pipe), budget=10.0,
+                                         stall_timeout=None, ladder=ladder)
+        if guarded:
+            runtime.model_override = GuardedClassModel(
+                runtime.base.packed_model(), seed_or_rng=0)
+        results = list(runtime.run(frames))
+        return results, runtime.profiler.stats["classify"].ops
 
-    def test_dense_backend_ignores_truncation(self, make_runtime):
-        runtime = make_runtime(backend="dense")
-        assert runtime._serving_model(Rung("half", prefix_fraction=0.5)) \
-            is None
+    def test_guarded_runtime_sheds_classify_words(self, serve_pipe, video):
+        frames, _ = video
+        half = DegradationLadder([Rung("half", prefix_fraction=0.5)])
+        _, full_ops = self._serve(serve_pipe, frames, guarded=True)
+        served, half_ops = self._serve(serve_pipe, frames, half,
+                                       guarded=True)
+        plain, plain_ops = self._serve(serve_pipe, frames, half)
+        # the guard scores the half-width prefix the rung is priced at:
+        # half the XOR + popcount words, exactly the plain runtime's ops
+        assert half_ops["word64"] == full_ops["word64"] / 2
+        assert half_ops == plain_ops
+        for a, b in zip(served, plain):
+            assert a.rung == "half"
+            assert a.detections == b.detections
+
+    def test_dense_backend_ignores_truncation(self, serve_pipe, video):
+        # the dense backend has no word-prefix dial: a prefix rung serves
+        # the full rung's detections
+        frames, _ = video
+        half = ResilientVideoDetector(
+            make_detector(serve_pipe, "dense"), budget=10.0,
+            stall_timeout=None,
+            ladder=DegradationLadder([Rung("half", prefix_fraction=0.5)]))
+        full = ResilientVideoDetector(make_detector(serve_pipe, "dense"),
+                                      budget=10.0, stall_timeout=None)
+        for a, b in zip(half.run(frames), full.run(frames)):
+            assert a.detections == b.detections
 
 
 class TestDegradedModes:

@@ -3,7 +3,8 @@
 The repo's central correctness bar: no matter how a frame is scanned -
 dense or packed backend, flat or cascade scan, full precision, a rescan
 served from the stored queries, frame-delta reuse or a truncated word
-prefix, solo or through the cross-stream batcher - the scores must be
+prefix, solo or through the cross-stream batcher, against the plain,
+a guarded or an adapting class model - the scores must be
 bitwise what the matching
 backend's reference flat solo scan produces, and the faces found must
 be identical to the reference flat dense scan's.  (Dense cosine and
@@ -28,6 +29,7 @@ from repro.pipeline import (CrossStreamBatcher, HDFacePipeline,
                             SlidingWindowDetector, execute_plan, make_scene)
 from repro.pipeline.multiscale import pyramid
 from repro.pipeline.plan import Plan
+from repro.reliability import AdaptiveGuardedModel, GuardedClassModel
 from repro.runtime import ExecutionPlanner
 
 pytestmark = pytest.mark.tier1
@@ -41,16 +43,26 @@ BACKENDS = ("dense", "packed")
 SCANS = ("flat", "cascade")
 PRECISIONS = ("full", "rescan", "delta", "truncated")
 EXECUTIONS = ("solo", "batched")
+#: Class models a packed route scores with: the detector's own, or a
+#: guarded / adapting wrapper of it passed as ``model=``.
+MODELS = ("plain", "guarded", "adaptive")
 
 
-def route_valid(backend, scan, precision):
-    """Cascade and word truncation are packed-backend constructs."""
-    return backend == "packed" or (scan == "flat" and precision != "truncated")
+def route_valid(backend, scan, precision, model):
+    """Cascade, word truncation and model wrappers are packed constructs."""
+    if backend == "packed":
+        return True
+    return scan == "flat" and precision != "truncated" and model == "plain"
 
 
-MATRIX = [pytest.param(b, s, p, e, id=f"{b}-{s}-{p}-{e}")
+def route_id(b, s, p, e, m):
+    """Plain routes keep the ids they had before the model axis."""
+    return f"{b}-{s}-{p}-{e}" + ("" if m == "plain" else f"-{m}")
+
+
+MATRIX = [pytest.param(b, s, p, e, m, id=route_id(b, s, p, e, m))
           for b in BACKENDS for s in SCANS for p in PRECISIONS
-          for e in EXECUTIONS if route_valid(b, s, p)]
+          for e in EXECUTIONS for m in MODELS if route_valid(b, s, p, m)]
 
 
 @pytest.fixture(scope="module")
@@ -105,8 +117,19 @@ def refs(face_pipe, scene_pair):
     }
 
 
-def run_route(pipe, backend, scan, precision, execution, scene, prev):
+def class_model(det, kind):
+    """The ``model=`` a route scores with (None: the detector's own)."""
+    if kind == "guarded":
+        return GuardedClassModel(det.packed_model(), seed_or_rng=0)
+    if kind == "adaptive":
+        return AdaptiveGuardedModel(det.packed_model(), seed_or_rng=0)
+    return None
+
+
+def run_route(pipe, backend, scan, precision, execution, model_kind, scene,
+              prev):
     det = make_detector(pipe, backend, cascade=(scan == "cascade"))
+    model = class_model(det, model_kind)
     max_words = TRUNC_WORDS if precision == "truncated" else None
     if precision == "rescan":
         # the first scan stores the assembled queries; the scan below is
@@ -120,8 +143,9 @@ def run_route(pipe, backend, scan, precision, execution, scene, prev):
         assert stats["mode"] == "patched"
     if execution == "batched":
         batcher = CrossStreamBatcher(det)
-        return batcher.scan_many([ScanRequest(scene, max_words=max_words)])[0]
-    return det.scan(scene, max_words=max_words)
+        return batcher.scan_many([ScanRequest(scene, max_words=max_words,
+                                              model=model)])[0]
+    return det.scan(scene, max_words=max_words, model=model)
 
 
 class TestRouteMatrix:
@@ -131,14 +155,18 @@ class TestRouteMatrix:
         for ref in refs.values():
             assert faces_found(ref) == {0, 1}
 
-    @pytest.mark.parametrize("backend,scan,precision,execution", MATRIX)
+    @pytest.mark.parametrize(
+        "backend,scan,precision,execution,model_kind", MATRIX)
     def test_route_matches_reference(self, face_pipe, scene_pair, refs,
-                                     backend, scan, precision, execution):
+                                     backend, scan, precision, execution,
+                                     model_kind):
         scene, prev = scene_pair
         got = run_route(face_pipe, backend, scan, precision, execution,
-                        scene, prev)
+                        model_kind, scene, prev)
         dense_ref = refs[("dense", None)]
         cap = TRUNC_WORDS if precision == "truncated" else None
+        # every model wrapper is compared with the plain reference at the
+        # same cap: a clean guard scores bitwise what its base scores
         want = refs[(backend, cap)]
         # the universal bar: the same faces as the flat dense reference
         assert faces_found(got) == faces_found(dense_ref) == {0, 1}
