@@ -1,12 +1,14 @@
 """Fleet serving: cross-stream batching vs N independent runtimes.
 
 The fleet's claim is consolidation: N streams served from one machine
-share the packed datapath (one content-addressed feature cache, one
-XOR+popcount pass over every stream's candidate windows via the batch
-gate) instead of each stream owning a full engine.  On the fleet-typical
-workload - many consumers watching overlapping content - the independent
-baseline re-extracts and re-scans the same pixels N times; the fleet
-extracts once and scans once, bitwise identically.
+share the packed datapath (one content-addressed feature cache whose
+stored query sets serve every stream, and one pooled similarity search
+over every stream's windows via the batch gate) instead of each stream
+owning a full engine.  On the fleet-typical workload - many consumers
+watching overlapping content - the independent baseline re-extracts,
+re-assembles and re-scans the same pixels N times; the fleet extracts
+and assembles once and scores every stream's windows in one search,
+bitwise identically.
 
 This bench pins that: for each swept stream count, aggregate frames/sec
 of (a) N fully independent ``ResilientVideoDetector``s (own detector,

@@ -40,7 +40,6 @@ __all__ = [
     "hdc_infer_profile",
     "packed_infer_profile",
     "packed_assemble_profile",
-    "batched_stage_profile",
     "cascade_stage_profile",
     "cascade_scan_profile",
     "replica_vote_profile",
@@ -469,28 +468,6 @@ def cascade_stage_profile(window, dim, word_start, word_stop, n_classes=2,
     return prof
 
 
-def batched_stage_profile(window, dim, word_start, word_stop, n_windows,
-                          n_classes=2, cell_size=8, n_bins=8):
-    """Cost of one *cross-stream batched* cascade stage over ``n_windows``.
-
-    The fleet batcher pools the live windows of many streams into one
-    majority + one block-Hamming call; the abstract op count is exactly
-    ``n_windows`` times the per-window :func:`cascade_stage_profile` -
-    batching changes constant factors (call overhead, cache locality),
-    never the operation count, which is how the profiler keeps batched
-    and solo runs comparable in the same table.
-    """
-    n = int(n_windows)
-    if n < 1:
-        raise ValueError(f"n_windows must be at least 1, got {n_windows}")
-    prof = cascade_stage_profile(window, dim, word_start, word_stop,
-                                 n_classes=n_classes, cell_size=cell_size,
-                                 n_bins=n_bins) * n
-    prof.label = (f"batched_stage(w{window},D{dim},"
-                  f"[{int(word_start)},{int(word_stop)})x{n})")
-    return prof
-
-
 def cascade_scan_profile(scene_shape, window, stride, dim, stage_words,
                          escalation=None, n_classes=2, cell_size=8,
                          n_bins=8, seed_fraction=1.0):
@@ -573,21 +550,19 @@ def scrub_profile(dim, n_classes, replicas=3, repair=False):
     return prof
 
 
-def guarded_infer_profile(dim, n_classes, replicas=3, scrub_every=1):
+def guarded_infer_profile(dim, n_classes, replicas=3):
     """Per-query cost of inference through a guarded class model.
 
     The Hamming-argmin search itself is unchanged
     (:func:`packed_infer_profile` against the active replica); protection
-    adds one detection-only scrub pass amortized over ``scrub_every``
-    queries.  Repair cost is excluded - it only triggers on actual
+    adds the detection-only scrub pass the guard runs before every
+    scoring call.  Repair cost is excluded - it only triggers on actual
     corruption, which is rare by assumption; price it separately with
     ``scrub_profile(..., repair=True)``.
     """
-    if scrub_every < 1:
-        raise ValueError("scrub_every must be at least 1")
-    prof = (packed_infer_profile(dim, n_classes)
-            + scrub_profile(dim, n_classes, replicas) * (1.0 / scrub_every))
-    prof.label = f"guarded_infer(D={dim},R={replicas},every={scrub_every})"
+    prof = packed_infer_profile(dim, n_classes) + scrub_profile(
+        dim, n_classes, replicas)
+    prof.label = f"guarded_infer(D={dim},R={replicas})"
     return prof
 
 

@@ -191,7 +191,6 @@ class ProtectionRow:
 
     platform: str
     replicas: int
-    scrub_every: int
     unguarded_cycles: float
     guarded_cycles: float
     unguarded_energy: float
@@ -210,25 +209,24 @@ class ProtectionRow:
         return self.guarded_energy / self.unguarded_energy
 
 
-def protection_overhead_report(dim=4096, n_classes=2, replicas=3,
-                               scrub_every=1):
+def protection_overhead_report(dim=4096, n_classes=2, replicas=3):
     """Price the guarded class model on every platform.
 
     Per platform: cycles and energy of one unguarded packed inference
     (:func:`~repro.hardware.opcount.packed_infer_profile`), of one guarded
     inference (:func:`~repro.hardware.opcount.guarded_infer_profile`:
-    the same search plus an amortized detection-only scrub), and of the
-    rare worst-case scrub that detects corruption and majority-vote
-    repairs it (:func:`~repro.hardware.opcount.scrub_profile` with
-    ``repair=True``).
+    the same search plus the detection-only scrub that precedes every
+    scoring call), and of the rare worst-case scrub that detects
+    corruption and majority-vote repairs it
+    (:func:`~repro.hardware.opcount.scrub_profile` with ``repair=True``).
     """
     plain = packed_infer_profile(dim, n_classes)
-    guarded = guarded_infer_profile(dim, n_classes, replicas, scrub_every)
+    guarded = guarded_infer_profile(dim, n_classes, replicas)
     repair = scrub_profile(dim, n_classes, replicas, repair=True)
     rows = []
     for key, platform in PLATFORMS.items():
         rows.append(ProtectionRow(
-            platform=key, replicas=replicas, scrub_every=scrub_every,
+            platform=key, replicas=replicas,
             unguarded_cycles=platform.cycles(plain),
             guarded_cycles=platform.cycles(guarded),
             unguarded_energy=platform.energy(plain),

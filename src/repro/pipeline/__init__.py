@@ -1,10 +1,10 @@
 """End-to-end pipelines: HDFace, baselines and the sliding-window detector."""
 
 from .baselines import HOGPipeline
-from .batcher import CrossStreamBatcher, ScanRequest
 from .cascade import (CascadeCalibration, CascadeCalibrator, CascadeScanner,
                       CascadeStage, default_word_schedule, hoeffding_threshold)
-from .detector import DetectionMap, SlidingWindowDetector, make_scene
+from .detector import (DetectionMap, ScanRequest, SlidingWindowDetector,
+                       make_scene)
 from .engine import SharedFeatureEngine
 from .hdface import HDFacePipeline
 from .multiscale import (Detection, PyramidDetector, execute_plan,
@@ -19,6 +19,7 @@ __all__ = [
     "SlidingWindowDetector",
     "SharedFeatureEngine",
     "DetectionMap",
+    "ScanRequest",
     "make_scene",
     "CascadeStage",
     "CascadeCalibration",
@@ -38,6 +39,4 @@ __all__ = [
     "FrameQueue",
     "QueueClosedError",
     "StreamFrameResult",
-    "CrossStreamBatcher",
-    "ScanRequest",
 ]

@@ -54,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..hardware.opcount import cascade_stage_profile
-from .detector import DetectionMap
 
 __all__ = ["CascadeStage", "CascadeCalibration", "CascadeCalibrator",
            "CascadeScanner", "default_word_schedule", "hoeffding_threshold"]
@@ -367,9 +366,9 @@ class CascadeScanner:
         ``cascade_stage{i}``).  On by default; the stage *timings* are
         recorded regardless.
 
-    Thread safety: concurrent :meth:`scan` calls (pyramid workers) are
-    safe - per-scan state is local; :attr:`last_stats` holds the most
-    recently completed scan's accounting.
+    Thread safety: concurrent :meth:`scan_many` calls (pyramid workers)
+    are safe - per-call state is local; :attr:`last_stats` holds the
+    most recently completed call's accounting.
     """
 
     def __init__(self, detector, calibration=None, stages=None,
@@ -428,10 +427,8 @@ class CascadeScanner:
     def seed_indices(self, n_wy, n_wx):
         """Flat indices of the coarse seed grid; None = scan every window.
 
-        The window-axis plan of one scan, shared verbatim by the
-        cross-stream batcher so batched and solo scans visit identical
-        window sets.  Every ``seed_factor``-th row/column plus the last
-        of each, so the grid borders are always probed.
+        Every ``seed_factor``-th row/column plus the last of each, so the
+        grid borders are always probed.
         """
         r = self.seed_factor
         if r <= 1 or (n_wy <= r and n_wx <= r):
@@ -445,8 +442,7 @@ class CascadeScanner:
 
         A seed scoring above ``-refine_band`` opens its ``seed_factor -
         1``-neighborhood (clipped to the grid); positions already seeded
-        are excluded.  Deterministic in ``scores``, so the batcher's
-        refine sets match the solo scanner's exactly.
+        are excluded.
         """
         r = self.seed_factor
         visited = np.zeros(n_wy * n_wx, dtype=bool)
@@ -463,78 +459,96 @@ class CascadeScanner:
                 neigh[ny, nx] = True
         return np.flatnonzero(neigh.ravel() & ~visited)
 
-    def scan(self, scene, injector=None, model=None, stride=None,
-             max_words=None):
-        """Cascade-classify the window grid; returns a
-        :class:`~repro.pipeline.detector.DetectionMap`.
+    def scan_many(self, requests, model, words):
+        """Cascade-classify the window grids of ``requests``; returns one
+        :class:`~repro.pipeline.detector.DetectionMap` per request.
 
-        Surviving windows carry their exact full-model margin (bitwise
-        the packed scan's score); rejected windows carry the (<= 0)
-        prefix margin they were rejected at; unvisited coarse-grid
-        positions carry :data:`FLOOR_SCORE`.  ``max_words`` caps the
-        escalation depth (the degradation ladder's dial); ``model``
-        substitutes the class model as in the plain scan.
+        ``requests`` are :class:`~repro.pipeline.detector.ScanRequest`\\ s
+        scored on the first ``words`` words of the packed ``model`` (the
+        detector resolves both).  Surviving windows carry their exact
+        full-model margin (bitwise the packed scan's score); rejected
+        windows carry the (<= 0) prefix margin they were rejected at;
+        unvisited coarse-grid positions carry :data:`FLOOR_SCORE`.
+        ``words`` caps the escalation depth (the degradation ladder's
+        dial).
+
+        Each scene keeps its own seed grid and refine neighborhoods, so
+        a scene scanned with others visits exactly the windows it visits
+        alone; one seed pass and one refine pass pool every scene's live
+        windows at each stage.  :attr:`last_stats` sums the accounting of
+        the call's scans.
         """
         det = self.detector
-        scene = np.asarray(scene, dtype=np.float64)
-        model = det.class_model(model)
-        stages = self._effective_stages(model.n_words, max_words)
-        origins, (n_wy, n_wx) = det.origins(scene.shape, stride)
-        scores = np.full(n_wy * n_wx, FLOOR_SCORE, dtype=np.float64)
+        stages = self._effective_stages(model.n_words, words)
         stats = {"stages": [{"words": s.words, "threshold": s.threshold,
                              "evaluated": 0, "rejected": 0}
                             for s in stages],
-                 "windows": n_wy * n_wx, "seeded": 0, "refined": 0,
+                 "windows": 0, "seeded": 0, "refined": 0,
                  "skipped": 0, "seed_factor": self.seed_factor}
-        seed_idx = self.seed_indices(n_wy, n_wx)
-        if seed_idx is None:
-            idx = np.arange(n_wy * n_wx)
-            scores[idx] = self._cascade_pass(
-                scene, origins, idx, model, injector, stages, stats)
-            stats["seeded"] = idx.size
-        else:
-            scores[seed_idx] = self._cascade_pass(
-                scene, origins, seed_idx, model, injector, stages, stats)
-            stats["seeded"] = seed_idx.size
-            refine_idx = self.refine_indices(scores, seed_idx, n_wy, n_wx)
+        scans = []
+        for req in requests:
+            scene = np.asarray(req.scene, dtype=np.float64)
+            origins, shape = det.origins(scene.shape, req.stride)
+            seed_idx = self.seed_indices(*shape)
+            if seed_idx is None:
+                seed_idx = np.arange(shape[0] * shape[1])
+            scores = np.full(shape, FLOOR_SCORE, dtype=np.float64)
+            scans.append((scene, origins, req.injector, seed_idx, scores))
+            stats["windows"] += scores.size
+            stats["seeded"] += seed_idx.size
+        self._cascade_pass(scans, model, stages, stats)
+        refines = []
+        for scene, origins, injector, seed_idx, scores in scans:
+            refine_idx = self.refine_indices(scores.ravel(), seed_idx,
+                                             *scores.shape)
             if refine_idx.size:
-                scores[refine_idx] = self._cascade_pass(
-                    scene, origins, refine_idx, model, injector, stages,
-                    stats)
-            stats["refined"] = int(refine_idx.size)
-            stats["skipped"] = int(
-                n_wy * n_wx - seed_idx.size - refine_idx.size)
-        scores = scores.reshape(n_wy, n_wx)
-        used = int(stride) if stride else det.stride
+                refines.append((scene, origins, injector, refine_idx,
+                                scores))
+                stats["refined"] += int(refine_idx.size)
+        if refines:
+            self._cascade_pass(refines, model, stages, stats)
+        stats["skipped"] = (stats["windows"] - stats["seeded"]
+                            - stats["refined"])
         self.last_stats = stats
-        return DetectionMap(scores, scores > 0, used, det.window)
+        return [det._detection_map(scores, req.stride)
+                for (*_, scores), req in zip(scans, requests)]
 
-    def _cascade_pass(self, scene, origins, idx, model, injector, stages,
-                      stats):
-        """Run the escalation ladder over the windows at flat indices
-        ``idx``; returns their final scores (same order)."""
+    def _cascade_pass(self, items, model, stages, stats):
+        """Run the escalation ladder over the windows of many scenes.
+
+        ``items`` holds ``(scene, origins, injector, idx, scores)`` per
+        scene: the windows at flat indices ``idx`` are scored and their
+        final scores written into the flat view of ``scores``.  Each
+        stage assembles every scene's live windows from its stored query
+        blocks and scores them all in one ``distance_block`` call.
+        """
         det = self.detector
         eng = det.engine
         prof = det.profiler
-        sub_origins = [origins[int(i)] for i in idx]
-        n = len(sub_origins)
-        if n == 0:
-            return np.empty(0, dtype=np.float64)
-        # one anchor union for the whole pass, so every stage's prefix
-        # assembly hits the same cached cell grid
-        ys, xs, _ = eng._anchors(sub_origins, det.window)
+        ext = det.pipeline.extractor
+        subs = [[origins[int(i)] for i in idx]
+                for _, origins, _, idx, _ in items]
+        starts = np.cumsum([0] + [len(sub) for sub in subs])
+        # one anchor union per scene for the whole pass, so every stage's
+        # prefix assembly hits the same cached cell grid
+        anchors = [eng._anchors(sub, det.window)[:2] for sub in subs]
         dim = model.dim
         face = det.face_class
-        alive = np.arange(n)
-        acc = np.zeros((n, model.n_classes), dtype=np.int64)
-        out = np.empty(n, dtype=np.float64)
+        alive = np.arange(starts[-1])
+        acc = np.zeros((alive.size, model.n_classes), dtype=np.int64)
+        out = np.empty(alive.size, dtype=np.float64)
         w_prev = 0
         for si, stage in enumerate(stages):
             w1 = stage.words
-            live = [sub_origins[int(j)] for j in alive]
-            block = eng.window_queries_prefix(
-                scene, live, det.window, w_prev, w1, injector,
-                anchors=(ys, xs))
+            bounds = np.searchsorted(alive, starts)
+            blocks = []
+            for k, (scene, _, injector, _, _) in enumerate(items):
+                rows = alive[bounds[k]:bounds[k + 1]] - starts[k]
+                if rows.size:
+                    blocks.append(eng.window_queries_prefix(
+                        scene, [subs[k][j] for j in rows], det.window,
+                        w_prev, w1, injector, anchors=anchors[k]))
+            block = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
             name = f"cascade_stage{si}"
             with prof.stage(name):
                 acc[alive] += model.distance_block(block, w_prev, w1)
@@ -547,13 +561,11 @@ class CascadeScanner:
                     name,
                     cascade_stage_profile(det.window, dim, w_prev, w1,
                                           n_classes=model.n_classes,
-                                          cell_size=det.pipeline.extractor
-                                          .cell_size,
-                                          n_bins=det.pipeline.extractor
-                                          .n_bins) * len(live),
-                    items=len(live))
+                                          cell_size=ext.cell_size,
+                                          n_bins=ext.n_bins) * alive.size,
+                    items=alive.size)
             st = stats["stages"][si]
-            st["evaluated"] += len(live)
+            st["evaluated"] += alive.size
             if si == len(stages) - 1:
                 out[alive] = margins
                 break
@@ -564,4 +576,5 @@ class CascadeScanner:
             if alive.size == 0:
                 break
             w_prev = w1
-        return out
+        for k, (_, _, _, idx, scores) in enumerate(items):
+            scores.flat[idx] = out[starts[k]:starts[k + 1]]

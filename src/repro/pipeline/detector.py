@@ -42,9 +42,25 @@ from ..hardware.opcount import (
 from ..profiling import NULL_PROFILER
 from .engine import SharedFeatureEngine
 
-__all__ = ["SlidingWindowDetector", "DetectionMap", "make_scene"]
+__all__ = ["SlidingWindowDetector", "DetectionMap", "ScanRequest",
+           "make_scene"]
 
 ENGINES = ("shared", "perwindow", "legacy")
+
+
+@dataclass
+class ScanRequest:
+    """One scan of :meth:`SlidingWindowDetector.scan_many`.
+
+    Field for field the keyword surface of
+    :meth:`SlidingWindowDetector.scan`.
+    """
+
+    scene: np.ndarray
+    stride: int = None
+    max_words: int = None
+    model: object = None
+    injector: object = None
 
 
 @dataclass
@@ -300,54 +316,118 @@ class SlidingWindowDetector:
         cascade scans cap their escalation depth, plain packed scans score
         ``similarities(queries, words)`` on the prefix.  Scores at a cap
         are the prefix model's margins.
+
+        A scan is :meth:`scan_many` of one :class:`ScanRequest`.
         """
-        scene = np.asarray(scene, dtype=np.float64)
-        prof = self.profiler
+        return self.scan_many([ScanRequest(scene, stride, max_words, model,
+                                           injector)])[0]
+
+    def scan_many(self, requests):
+        """Scan every :class:`ScanRequest`; returns their maps in order.
+
+        Bitwise what one :meth:`scan` per request returns.  Packed
+        requests without an injector that score the same words of the
+        same model are pooled: the Hamming search works row by row, so
+        their windows share one ``similarities`` call (on a cascade
+        detector, one seed and one refine pass of
+        :meth:`~repro.pipeline.cascade.CascadeScanner.scan_many`).
+        Assembly still runs per scene through the engine's stored query
+        sets.  Every other request runs alone, in request order: the
+        dense backend's BLAS summation order depends on the batch shape,
+        and an injector may be stateful.
+        """
+        requests = list(requests)
+        out = [None] * len(requests)
+        pools = {}
+        for i, req in enumerate(requests):
+            if self.backend != "packed":
+                out[i] = self._scan_alone(req)
+                continue
+            model = self.class_model(req.model)
+            words = self.word_cap(model, req.max_words)
+            if req.injector is not None:
+                out[i], = self._scan_packed([req], model, words)
+            else:
+                pools.setdefault((id(model), words),
+                                 (model, words, []))[2].append(i)
+        for model, words, idxs in pools.values():
+            maps = self._scan_packed([requests[i] for i in idxs], model,
+                                     words)
+            for i, dmap in zip(idxs, maps):
+                out[i] = dmap
+        return out
+
+    def _scan_packed(self, requests, model, words):
+        """Maps of packed ``requests`` from one pooled similarity search."""
         if self.cascade is not None:
-            return self.cascade_scanner().scan(
-                scene, injector=injector, model=model, stride=stride,
-                max_words=max_words)
-        if max_words is not None and self.backend != "packed":
+            return self.cascade_scanner().scan_many(requests, model, words)
+        grids, queries = [], []
+        for req in requests:
+            scene = np.asarray(req.scene, dtype=np.float64)
+            origins, grid = self.origins(scene.shape, req.stride)
+            grids.append(grid)
+            queries.append(self.engine.window_queries(
+                scene, origins, self.window, req.injector))
+        n = sum(len(q) for q in queries)
+        with self.profiler.stage("classify"):
+            sims = model.similarities(
+                queries[0] if len(queries) == 1 else np.concatenate(queries),
+                words)
+        self.profiler.add_profile(
+            "classify",
+            packed_infer_profile(block_dim(model.dim, 0, words),
+                                 model.n_classes) * n,
+            items=n,
+        )
+        return self._maps(sims, requests, grids)
+
+    def _scan_alone(self, req):
+        """Dense-backend or legacy scan of one request."""
+        scene = np.asarray(req.scene, dtype=np.float64)
+        prof = self.profiler
+        if req.max_words is not None:
             raise ValueError("max_words requires the packed backend")
         if self.mode == "legacy":
-            if model is not None:
+            if req.model is not None:
                 raise ValueError("model substitution requires the shared or "
                                  "perwindow engine")
-            if stride is not None and int(stride) != self.stride:
+            if req.stride is not None and int(req.stride) != self.stride:
                 raise ValueError("stride override requires the shared or "
                                  "perwindow engine")
             with prof.stage("legacy_scan"):
-                crops, (n_wy, n_wx) = self.windows(scene)
-                sims = self.pipeline.similarities(crops, injector=injector)
-            prof.add_ops("legacy_scan", items=n_wy * n_wx)
+                crops, grid = self.windows(scene)
+                sims = self.pipeline.similarities(crops,
+                                                  injector=req.injector)
+            prof.add_ops("legacy_scan", items=len(crops))
         else:
-            origins, (n_wy, n_wx) = self.origins(scene.shape, stride)
-            queries = self._window_queries(scene, origins, injector)
-            if self.backend == "packed":
-                model = self.class_model(model)
-                words = self.word_cap(model, max_words)
-                with prof.stage("classify"):
-                    sims = model.similarities(queries, words)
-                prof.add_profile(
-                    "classify",
-                    packed_infer_profile(block_dim(model.dim, 0, words),
-                                         model.n_classes) * len(origins),
-                    items=len(origins),
-                )
-            else:
-                clf = self.pipeline.classifier if model is None \
-                    else self.pipeline.classifier.with_model(model)
-                with prof.stage("classify"):
-                    sims = clf.similarities(queries)
-                prof.add_profile(
-                    "classify",
-                    hdc_infer_profile(self.pipeline.dim,
-                                      self.pipeline.n_classes) * len(origins),
-                    items=len(origins),
-                )
+            origins, grid = self.origins(scene.shape, req.stride)
+            queries = self._window_queries(scene, origins, req.injector)
+            clf = self.pipeline.classifier if req.model is None \
+                else self.pipeline.classifier.with_model(req.model)
+            with prof.stage("classify"):
+                sims = clf.similarities(queries)
+            prof.add_profile(
+                "classify",
+                hdc_infer_profile(self.pipeline.dim,
+                                  self.pipeline.n_classes) * len(origins),
+                items=len(origins),
+            )
+        return self._maps(sims, [req], [grid])[0]
+
+    def _maps(self, sims, requests, grids):
+        """Split pooled similarity rows into one map per request."""
         sims = np.atleast_2d(np.asarray(sims))
-        margin = sims[:, self.face_class] - np.delete(sims, self.face_class, axis=1).max(axis=1)
-        scores = margin.reshape(n_wy, n_wx)
+        face = self.face_class
+        margin = sims[:, face] - np.delete(sims, face, axis=1).max(axis=1)
+        maps, pos = [], 0
+        for req, (n_wy, n_wx) in zip(requests, grids):
+            scores = margin[pos:pos + n_wy * n_wx].reshape(n_wy, n_wx)
+            pos += n_wy * n_wx
+            maps.append(self._detection_map(scores, req.stride))
+        return maps
+
+    def _detection_map(self, scores, stride):
+        """The :class:`DetectionMap` of a score grid scanned at ``stride``."""
         used = int(stride) if stride else self.stride
         return DetectionMap(scores, scores > 0, used, self.window)
 

@@ -976,43 +976,6 @@ class SharedFeatureEngine:
         view.flags.writeable = False
         return view
 
-    def window_gather(self, scene, origins, window, word_start=None,
-                      word_stop=None, injector=None, anchors=None):
-        """Bound-but-unbundled packed window features (the batching primitive).
-
-        Returns ``(flat, valid)``: ``flat`` is uint64 ``(n_windows,
-        n_features, words)`` - every window's packed cell words already
-        XNOR-bound to the positional keys - and ``valid`` is the per-
-        feature non-empty-bin mask.  This is exactly the input
-        :func:`~repro.core.packed.packed_majority` bundles into queries,
-        exposed separately so a cross-stream batcher can *concatenate*
-        the gathers of many scenes and run one majority + one XOR+popcount
-        classification over all of them.  Because the majority votes each
-        window row independently, the batched results are bitwise
-        identical to per-scene :meth:`window_queries` /
-        :meth:`window_queries_prefix` calls.
-
-        ``word_start`` / ``word_stop`` restrict the gather to a word
-        block (both None = full width); ``anchors`` substitutes a
-        precomputed cell-anchor union as in
-        :meth:`window_queries_prefix`.
-        """
-        if self.backend != "packed":
-            raise ValueError(
-                "window_gather requires backend='packed'; the dense backend "
-                "has no concatenation-safe batched path")
-        dim = self.extractor.dim
-        w0 = 0 if word_start is None else int(word_start)
-        w1 = packed_words(dim) if word_stop is None else int(word_stop)
-        block_dim(dim, w0, w1)  # validates the range
-        entry, origins = self._scan_entry(scene, origins, injector)
-        grid, ys, xs, n = self._scan_grid(entry, origins, int(window),
-                                          anchors)
-        with self.profiler.stage("gather"):
-            flat, valid = self._gather_packed(grid, origins, ys, xs, n,
-                                              injector, w0, w1)
-        return flat, valid
-
     def _assemble_dense(self, grid, origins, ys, xs, n, injector):
         """Float reference assembly: slice, bind, weight, accumulate."""
         ext = self.extractor
@@ -1059,9 +1022,21 @@ class SharedFeatureEngine:
             bdim, stage = block_dim(dim, w0, w1), "assemble_prefix"
         c = ext.cell_size
         with self.profiler.stage(stage):
-            flat, valid = self._gather_packed(grid, origins, ys, xs, n,
-                                              injector, w0, w1)
-            queries = packed_majority(flat, bdim, valid=valid)
+            offsets = c * np.arange(n, dtype=np.int64)
+            oy = np.asarray([y for y, _ in origins], dtype=np.int64)
+            ox = np.asarray([x for _, x in origins], dtype=np.int64)
+            ri = np.searchsorted(ys, oy[:, None] + offsets[None, :])
+            ci = np.searchsorted(xs, ox[:, None] + offsets[None, :])
+            cells = grid.packed[ri[:, :, None], ci[:, None, :], :, w0:w1]
+            counts = grid.counts[ri[:, :, None], ci[:, None, :]]
+            if injector is not None:
+                cells = injector(cells, "histogram")
+            keys = self._window_keys_packed(n)[..., w0:w1]
+            bound = ~np.bitwise_xor(cells, keys[None])
+            n_feat = n * n * ext.n_bins
+            queries = packed_majority(
+                bound.reshape(len(origins), n_feat, w1 - w0), bdim,
+                valid=(counts > 0).reshape(len(origins), n_feat))
         self.profiler.add_profile(
             stage,
             packed_assemble_profile(n * c, bdim, cell_size=c,
@@ -1074,31 +1049,3 @@ class SharedFeatureEngine:
                 self.prefix_windows += len(origins)
                 self.prefix_words += (w1 - w0) * len(origins)
         return queries
-
-    def _gather_packed(self, grid, origins, ys, xs, n, injector, w0, w1):
-        """Gather and XNOR-bind the packed cells for ``origins``.
-
-        Returns ``(flat, valid)`` ready for
-        :func:`~repro.core.packed.packed_majority`: ``flat`` is uint64
-        ``(n_windows, n_features, w1 - w0)``, ``valid`` the non-empty-bin
-        mask.  Window rows are independent, so gathers from different
-        scenes may be concatenated before one shared majority - the
-        invariant the cross-stream batcher builds on.
-        """
-        ext = self.extractor
-        c = ext.cell_size
-        offsets = c * np.arange(n, dtype=np.int64)
-        oy = np.asarray([y for y, _ in origins], dtype=np.int64)
-        ox = np.asarray([x for _, x in origins], dtype=np.int64)
-        ri = np.searchsorted(ys, oy[:, None] + offsets[None, :])
-        ci = np.searchsorted(xs, ox[:, None] + offsets[None, :])
-        cells = grid.packed[ri[:, :, None], ci[:, None, :], :, w0:w1]
-        counts = grid.counts[ri[:, :, None], ci[:, None, :]]
-        if injector is not None:
-            cells = injector(cells, "histogram")
-        keys = self._window_keys_packed(n)[..., w0:w1]
-        bound = ~np.bitwise_xor(cells, keys[None])
-        n_feat = n * n * ext.n_bins
-        flat = bound.reshape(len(origins), n_feat, w1 - w0)
-        valid = (counts > 0).reshape(len(origins), n_feat)
-        return flat, valid

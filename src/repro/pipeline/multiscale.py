@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.ndimage import zoom
 
+from .detector import ScanRequest
 from .plan import Plan
 
 __all__ = ["Detection", "downscale", "pyramid", "non_max_suppression",
@@ -123,6 +124,10 @@ def execute_plan(detector, scene, plan, *, injector=None, model=None,
     serving runtime executes its rung's plan here, and the planner's
     chosen plans run through here unchanged - so the bitwise conformance
     matrix (``tests/test_conformance.py``) covers every caller at once.
+    Serially, all of the frame's levels go to one
+    :meth:`~repro.pipeline.detector.SlidingWindowDetector.scan_many`
+    call, which pools their similarity search; ``plan.workers > 1``
+    scans the levels on threads instead.
 
     Parameters
     ----------
@@ -138,9 +143,11 @@ def execute_plan(detector, scene, plan, *, injector=None, model=None,
         builds them once per frame); ``plan.max_levels`` still applies.
     batch_scan:
         Optional ``callable(requests, cancel) -> maps`` routing the
-        per-level scans through a cross-stream batch gate
-        (:class:`repro.runtime.fleet.BatchGate`); bitwise-identical to
-        the solo path.  Injector scans always stay solo.
+        per-level :class:`~repro.pipeline.detector.ScanRequest`\\ s
+        through a cross-stream batch gate
+        (:class:`repro.runtime.fleet.BatchGate`), which pools them with
+        other streams' levels in one ``scan_many`` call.  Injector scans
+        never go through the gate.
     cancel:
         Cooperative-cancel event forwarded to ``batch_scan``.
 
@@ -158,26 +165,20 @@ def execute_plan(detector, scene, plan, *, injector=None, model=None,
         levels = list(pyramid(scene, detector.scale_step, min_size=window))
     if plan.max_levels is not None:
         levels = levels[: plan.max_levels]
-    strides = [plan.stride_for(i) for i in range(len(levels))]
+    requests = [ScanRequest(level, stride=plan.stride_for(i),
+                            max_words=plan.max_words, model=model,
+                            injector=injector)
+                for i, (level, _) in enumerate(levels)]
     if batch_scan is not None and injector is None:
-        from .batcher import ScanRequest
-        requests = [ScanRequest(level, stride=strides[i],
-                                max_words=plan.max_words, model=model)
-                    for i, (level, _) in enumerate(levels)]
         maps = batch_scan(requests, cancel)
     elif plan.workers > 1 and base.mode != "legacy" and len(levels) > 1:
         from concurrent.futures import ThreadPoolExecutor
         workers = min(plan.workers, len(levels))
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            maps = list(pool.map(
-                lambda iv: base.scan(iv[1][0], injector=injector, model=model,
-                                     stride=strides[iv[0]],
-                                     max_words=plan.max_words),
-                enumerate(levels)))
+            maps = list(pool.map(lambda r: base.scan_many([r])[0],
+                                 requests))
     else:
-        maps = [base.scan(level, injector=injector, model=model,
-                          stride=strides[i], max_words=plan.max_words)
-                for i, (level, _) in enumerate(levels)]
+        maps = base.scan_many(requests)
     return detector.collect(levels, maps)
 
 
@@ -269,10 +270,8 @@ class PyramidDetector:
         ``maps`` is one :class:`~repro.pipeline.detector.DetectionMap` per
         ``(scaled_image, factor)`` pair in ``levels``, in level order -
         exactly what :meth:`detect` produces internally.  Exposed so a
-        caller that scanned the levels elsewhere (the cross-stream
-        batcher, which pools windows from many streams into one packed
-        classification pass) can reuse the identical coordinate mapping
-        and suppression tail.
+        caller that scanned the levels itself can reuse the identical
+        coordinate mapping and suppression tail.
         """
         window = self.detector.window
         raw = []

@@ -12,9 +12,9 @@ the three things worth sharing on one machine:
   :class:`~repro.pipeline.engine.SharedFeatureEngine`, and a
   :class:`BatchGate` rendezvous pools the per-frame window scans of all
   concurrently-processing streams into single
-  :class:`~repro.pipeline.batcher.CrossStreamBatcher` calls - one
-  XOR+popcount pass over every stream's windows, bitwise identical to
-  solo scans (cascade stages batch across streams too);
+  :meth:`~repro.pipeline.detector.SlidingWindowDetector.scan_many`
+  calls - one similarity search over every stream's windows, bitwise
+  identical to solo scans (cascade stages pool across streams too);
 * **the feature cache** - identical frames across streams (and pyramid
   levels within a stream) hit one content-addressed cache;
 * **the shedding policy** - a :class:`~repro.runtime.ladder.
@@ -41,13 +41,13 @@ import threading
 import time
 from collections import OrderedDict
 
-from ..pipeline.batcher import CrossStreamBatcher
 from ..pipeline.multiscale import PyramidDetector
 from ..pipeline.stream import VideoStreamDetector
 from ..profiling import Profiler
 from ..reliability.guard import AdaptiveGuardedModel, GuardedClassModel
 from .ladder import FleetScheduler
 from .serving import ResilientVideoDetector
+from .watchdog import weak_method
 
 __all__ = ["AdmissionError", "BatchGate", "FleetDispatcher"]
 
@@ -74,20 +74,21 @@ class BatchGate:
     The first stream thread to arrive becomes the *leader*: it waits
     ``batch_window`` seconds for other streams' frames to arrive, then
     runs every pending bundle's requests through one
-    :meth:`~repro.pipeline.batcher.CrossStreamBatcher.scan_many` call
-    and distributes the per-request results.  Followers block on their
-    bundle's event (polling their watchdog cancel flag, so a stalled
-    batch can never wedge a stream past its watchdog).  While a batch
-    executes, the next arrival starts leading the *next* batch - the
-    gate pipelines, it does not serialize the fleet.
+    :meth:`~repro.pipeline.detector.SlidingWindowDetector.scan_many`
+    call on the shared ``detector`` and distributes the per-request
+    results.  Followers block on their bundle's event (polling their
+    watchdog cancel flag, so a stalled batch can never wedge a stream
+    past its watchdog).  While a batch executes, the next arrival starts
+    leading the *next* batch - the gate pipelines, it does not serialize
+    the fleet.
 
     ``on_batch(n_bundles, n_requests)`` fires after each batch - the
     dispatcher's hook for ticking the fleet scheduler at batch cadence.
     """
 
-    def __init__(self, batcher, batch_window=0.002, on_batch=None,
+    def __init__(self, detector, batch_window=0.002, on_batch=None,
                  poll=0.02):
-        self.batcher = batcher
+        self.detector = detector
         self.batch_window = float(batch_window)
         self.on_batch = on_batch
         self.poll = float(poll)
@@ -131,7 +132,7 @@ class BatchGate:
     def _run(self, batch):
         flat = [r for b in batch for r in b.requests]
         try:
-            maps = self.batcher.scan_many(flat)
+            maps = self.detector.scan_many(flat)
         except Exception as err:  # noqa: BLE001 - every waiter must wake
             for b in batch:
                 b.error = err
@@ -281,10 +282,11 @@ class FleetDispatcher:
                     template,
                     delta_reuse=bool(self.runtime_kwargs.get(
                         "incremental", True)))
-        self.batcher = CrossStreamBatcher(template.detector)
-        self.gate = BatchGate(self.batcher, batch_window=batch_window,
-                              on_batch=self._on_batch) if self.batching \
-            else None
+        # every runtime holds the gate, so the gate holds the dispatcher
+        # weakly
+        self.gate = BatchGate(template.detector, batch_window=batch_window,
+                              on_batch=weak_method(self._on_batch)) \
+            if self.batching else None
         # fleet-level memory RAS over the shared surfaces
         self.scrubber = None
         self.scrub_incidents = None

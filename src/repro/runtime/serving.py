@@ -46,7 +46,7 @@ from ..profiling import Profiler
 from ..reliability.incidents import IncidentLog
 from .ladder import DeadlineScheduler, default_ladder
 from .quarantine import InputQuarantine, PoisonFrameError
-from .watchdog import FrameCancelled, Watchdog
+from .watchdog import FrameCancelled, Watchdog, weak_method
 
 __all__ = ["ServeFrameResult", "ResilientVideoDetector"]
 
@@ -198,9 +198,10 @@ class ResilientVideoDetector:
                                            **scheduler_kwargs)
         self.watchdog = None
         if stall_timeout is not None:
-            self.watchdog = Watchdog(stall_timeout, grace=watchdog_grace,
-                                     on_cancel=self._on_stall_cancel,
-                                     on_restart=self._on_consumer_restart)
+            self.watchdog = Watchdog(
+                stall_timeout, grace=watchdog_grace,
+                on_cancel=weak_method(self._on_stall_cancel),
+                on_restart=weak_method(self._on_consumer_restart))
         # chaos / fault hooks (see repro.runtime.chaos)
         self.pre_frame = None     # callable(index, frame, meta, cancel_event)
         self.injector = None      # stage injector forwarded to every scan

@@ -29,8 +29,27 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 
-__all__ = ["FrameCancelled", "Watchdog"]
+__all__ = ["FrameCancelled", "Watchdog", "weak_method"]
+
+
+def weak_method(method):
+    """A callback that forwards to the bound ``method`` while its object lives.
+
+    A helper that the runtime owns (its watchdog, the fleet's batch gate)
+    calls back into it; holding a plain bound method would close a cycle,
+    so a stopped, dropped runtime - engine cache included - would stay
+    resident until the cyclic garbage collector happens to run.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def call(*args):
+        target = ref()
+        if target is not None:
+            target(*args)
+
+    return call
 
 
 class FrameCancelled(RuntimeError):

@@ -201,44 +201,16 @@ class TestProtectionProfiles:
         assert (replica_vote_profile(4096, 2, replicas=5).total_ops()
                 > replica_vote_profile(4096, 2, replicas=3).total_ops())
 
-    def test_guarded_infer_amortizes_scrub(self):
+    def test_guarded_infer_adds_one_scrub(self):
+        # every guard scrubs before each scoring call
         from repro.hardware.opcount import (
             guarded_infer_profile,
             packed_infer_profile,
+            scrub_profile,
         )
-        plain = packed_infer_profile(4096, 2)
-        every = guarded_infer_profile(4096, 2, replicas=3, scrub_every=1)
-        rare = guarded_infer_profile(4096, 2, replicas=3, scrub_every=100)
-        assert plain.total_ops() < rare.total_ops() < every.total_ops()
-        # with a 100-query scrub period the overhead is a few percent
-        assert rare.total_ops() < plain.total_ops() * 1.1
-
-    def test_guarded_infer_rejects_bad_period(self):
-        from repro.hardware.opcount import guarded_infer_profile
-        with pytest.raises(ValueError):
-            guarded_infer_profile(4096, 2, scrub_every=0)
-
-
-class TestBatchedStageProfile:
-    def test_is_n_windows_times_the_solo_stage(self):
-        from repro.hardware.opcount import (batched_stage_profile,
-                                            cascade_stage_profile)
-        solo = cascade_stage_profile(24, 1024, 0, 4)
-        batched = batched_stage_profile(24, 1024, 0, 4, n_windows=7)
-        for op, count in solo.counts.items():
-            assert batched.counts[op] == count * 7
-
-    def test_one_window_matches_solo_counts(self):
-        from repro.hardware.opcount import (batched_stage_profile,
-                                            cascade_stage_profile)
-        solo = cascade_stage_profile(24, 512, 4, 8)
-        batched = batched_stage_profile(24, 512, 4, 8, n_windows=1)
-        assert batched.counts == solo.counts
-
-    def test_rejects_empty_batch(self):
-        from repro.hardware.opcount import batched_stage_profile
-        with pytest.raises(ValueError):
-            batched_stage_profile(24, 512, 0, 4, n_windows=0)
+        guarded = guarded_infer_profile(4096, 2, replicas=3)
+        want = packed_infer_profile(4096, 2) + scrub_profile(4096, 2, 3)
+        assert guarded.counts == want.counts
 
 
 class TestEccProfiles:

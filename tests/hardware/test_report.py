@@ -132,12 +132,6 @@ class TestProtectionOverheadReport:
             assert r.energy_overhead > 1.0
             assert r.repair_cycles > 0
 
-    def test_longer_scrub_period_shrinks_overhead(self):
-        from repro.hardware.report import protection_overhead_report
-        every = protection_overhead_report(dim=4096, scrub_every=1)[0]
-        rare = protection_overhead_report(dim=4096, scrub_every=50)[0]
-        assert rare.cycle_overhead < every.cycle_overhead
-
 
 class TestMemoryProtectionReport:
     def test_schemes_per_platform(self):

@@ -7,8 +7,10 @@ solo runtime's); the gate never wedges a waiter - errors re-raise in
 every participating stream and a watchdog cancel aborts a follower.
 """
 
+import gc
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +27,7 @@ from .conftest import make_detector
 
 
 class FakeBatcher:
-    """Stands in for CrossStreamBatcher: echoes requests, logs batches."""
+    """Stands in for the shared detector: echoes requests, logs batches."""
 
     def __init__(self, delay=0.0, fail=False):
         self.delay = delay
@@ -232,6 +234,50 @@ class TestFleetVsSolo:
         assert fleet.gate is None and rt.batch_scan is None
         result = fleet.step("a", frames[0])
         assert result.mode == "detected"
+
+
+class TestSharedCache:
+    def test_gated_rescan_reads_stored_query_sets(self, serve_pipe, video):
+        # the gate scans through the detector's own scan_many, so a frame
+        # of unchanged content is classified from the stored query sets
+        frames, _ = video
+        fleet = FleetDispatcher(lambda: make_detector(serve_pipe),
+                                budget=10.0, stall_timeout=None)
+        fleet.add_stream("a")
+        assert fleet.step("a", frames[0]).mode == "detected"
+        assembled = fleet.profiler.stats["assemble"].items
+        assert assembled > 0
+        for _ in range(2):
+            assert fleet.step("a", frames[0]).mode == "detected"
+        assert fleet.gate.stats()["batches"] == 3
+        assert fleet.profiler.stats["assemble"].items == assembled
+
+
+class TestLifecycle:
+    def test_stopped_fleet_freed_without_cyclic_gc(self, serve_pipe, video):
+        # a dropped fleet (and its shared engine cache) must go as soon
+        # as its last reference does, not when the cyclic collector runs
+        frames, _ = video
+        gc.collect()
+        gc.disable()
+        try:
+            # default runtime options: every stream's watchdog is on
+            fleet = FleetDispatcher(lambda: make_detector(serve_pipe),
+                                    budget=10.0, policy="block")
+            for name in ("a", "b"):
+                fleet.add_stream(name)
+            fleet.start()
+            for name in ("a", "b"):
+                fleet.submit(name, frames[0])
+            fleet.stop()
+            assert fleet.gate.stats()["batches"] >= 1
+            dispatcher = weakref.ref(fleet)
+            engine = weakref.ref(fleet.template.detector.engine)
+            del fleet
+            assert dispatcher() is None
+            assert engine() is None
+        finally:
+            gc.enable()
 
 
 class TestFleetGuard:

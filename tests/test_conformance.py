@@ -3,9 +3,9 @@
 The repo's central correctness bar: no matter how a frame is scanned -
 dense or packed backend, flat or cascade scan, full precision, a rescan
 served from the stored queries, frame-delta reuse or a truncated word
-prefix, solo or through the cross-stream batcher, against the plain,
-a guarded or an adapting class model - the scores must be
-bitwise what the matching
+prefix, solo or pooled with other requests in one ``scan_many`` call,
+against the plain, a guarded or an adapting class model - the scores
+must be bitwise what the matching
 backend's reference flat solo scan produces, and the faces found must
 be identical to the reference flat dense scan's.  (Dense cosine and
 packed Hamming margins are sign-compatible on faces but flip on
@@ -24,8 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.pipeline import (CrossStreamBatcher, HDFacePipeline,
-                            PyramidDetector, ScanRequest,
+from repro.pipeline import (HDFacePipeline, PyramidDetector, ScanRequest,
                             SlidingWindowDetector, execute_plan, make_scene)
 from repro.pipeline.multiscale import pyramid
 from repro.pipeline.plan import Plan
@@ -142,9 +141,16 @@ def run_route(pipe, backend, scan, precision, execution, model_kind, scene,
         stats = det.engine.delta_update(prev, scene)
         assert stats["mode"] == "patched"
     if execution == "batched":
-        batcher = CrossStreamBatcher(det)
-        return batcher.scan_many([ScanRequest(scene, max_words=max_words,
-                                              model=model)])[0]
+        # pooled: the route's request shares one scan_many call with a
+        # second scene at another stride (same model and words, so the
+        # same pool) and, on packed routes, a request at another word cap
+        requests = [ScanRequest(prev, stride=STRIDE // 2, max_words=max_words,
+                                model=model),
+                    ScanRequest(scene, max_words=max_words, model=model)]
+        if backend == "packed":
+            requests.append(ScanRequest(scene, max_words=TRUNC_WORDS // 2,
+                                        model=model))
+        return det.scan_many(requests)[1]
     return det.scan(scene, max_words=max_words, model=model)
 
 
@@ -228,7 +234,6 @@ class TestPlannerPlansConform:
                                                   planner_plans, scene_pair):
         scene, _ = scene_pair
         base = pyramid_detector.detector
-        batcher = CrossStreamBatcher(base)
         for plan in planner_plans:
             serial = execute_plan(pyramid_detector, scene,
                                   replace(plan, workers=1))
@@ -236,7 +241,7 @@ class TestPlannerPlansConform:
                                     replace(plan, workers=2))
             batched = execute_plan(
                 pyramid_detector, scene, plan,
-                batch_scan=lambda reqs, cancel: batcher.scan_many(reqs))
+                batch_scan=lambda reqs, cancel: base.scan_many(reqs))
             # Detection is a frozen float dataclass: == is bitwise
             assert serial == threaded, plan.describe()
             assert serial == batched, plan.describe()
